@@ -12,7 +12,6 @@ from .comms import (
     FalsificationStrategy,
     Message,
     Role,
-    broadcast,
     falsify,
 )
 from .config import (
@@ -50,9 +49,7 @@ from .policies import (
     ValueOracleConfig,
     action_distribution,
     action_values,
-    adversary_act,
     greedy_action,
-    value,
 )
 from .trust import (
     ConsistencyConfig,

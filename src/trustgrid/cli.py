@@ -71,9 +71,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             scenarios = {name: scenarios[name] for name in args.scenario}
         for name, cfg in scenarios.items():
-            cfg = _adjust_seeds(cfg, args.episodes, args.seed_offset)
-            cfg.validate()
-            artifact = run_scenario(cfg)
+            artifact = run_scenario(_adjust_seeds(cfg, args.episodes, args.seed_offset))
             csv_path, json_path = write_artifact(artifact, args.out)
             finals = artifact.final_coverages()
             mean_final = sum(finals) / len(finals)

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, GridState, Observation, observe
+from .env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Observation
 from .policies import AdversaryStrategy
 
 # Candidate cells drawn when spoofing a position; farthest (Manhattan) wins.
@@ -78,14 +78,14 @@ class CommGraph:
         return cls(tuple((i, tuple(sorted(neighbors[i]))) for i in ids))
 
     def __post_init__(self) -> None:
-        seen = {i for i, _ in self.adjacency}
+        adjacency = dict(self.adjacency)
         for i, nbrs in self.adjacency:
             for j in nbrs:
                 if j == i:
                     raise ValueError(f"self-edge on agent {i}")
-                if j not in seen:
+                if j not in adjacency:
                     raise ValueError(f"edge ({i}, {j}) references an unknown agent")
-                if i not in dict(self.adjacency)[j]:
+                if i not in adjacency[j]:
                     raise ValueError(f"asymmetric graph: edge ({i}, {j}) has no reverse")
 
     def agents(self) -> tuple[int, ...]:
@@ -172,25 +172,23 @@ def falsify(
 
 
 def transmit(
-    state: GridState,
+    views: dict[int, Observation],
     roster: dict[int, AgentSpec],
     rng: random.Random,
-    radius: int,
+    grid_size: tuple[int, int],
 ) -> dict[int, Observation]:
     """The payload each agent transmits this step, keyed by sender.
 
-    Payloads are computed once per sender in ascending id order so the
-    falsification rng stream is identical regardless of topology.
+    ``views`` holds every agent's truthful observation. Payloads are
+    computed once per sender in ascending id order so the falsification rng
+    stream is identical regardless of topology.
     """
     payloads: dict[int, Observation] = {}
     for i in sorted(roster):
         spec = roster[i]
         if spec.role is Role.COOPERATIVE and spec.falsification is not FalsificationStrategy.TRUTHFUL:
             raise ValueError(f"cooperative agent {i} must transmit truthfully")
-        truthful = observe(state, i, radius)
-        payloads[i] = falsify(
-            truthful, spec.falsification, rng, (state.width, state.height)
-        )
+        payloads[i] = falsify(views[i], spec.falsification, rng, grid_size)
     return payloads
 
 
@@ -198,27 +196,7 @@ def address(
     payloads: dict[int, Observation], graph: CommGraph, t: int
 ) -> dict[int, tuple[Message, ...]]:
     """Fan payloads out over the directed edges: receiver id -> inbox."""
-    inboxes: dict[int, tuple[Message, ...]] = {}
-    for receiver in graph.agents():
-        inboxes[receiver] = tuple(
-            Message(sender, payloads[sender], t)
-            for sender in graph.neighbors(receiver)
-        )
-    return inboxes
-
-
-def broadcast(
-    state: GridState,
-    graph: CommGraph,
-    roster: dict[int, AgentSpec],
-    rng: random.Random,
-    radius: int,
-) -> dict[int, tuple[Message, ...]]:
-    """One exchange round: every agent's payload delivered on every edge.
-
-    Returns per-receiver inboxes ordered by sender id; the total message
-    count equals the number of directed edges. Never mutates ``state``.
-    """
-    if set(graph.agents()) != set(roster):
-        raise ValueError("graph agents do not match the roster")
-    return address(transmit(state, roster, rng, radius), graph, state.t)
+    return {
+        receiver: tuple(Message(sender, payloads[sender], t) for sender in nbrs)
+        for receiver, nbrs in graph.adjacency
+    }

@@ -91,6 +91,7 @@ class ScenarioConfig:
             raise ConfigError(
                 "defense.kl_threshold is required when defense.consistency = kl"
             )
+        taken = set()
         for spec in self.roster:
             if spec.start is not None:
                 x, y = spec.start
@@ -98,6 +99,11 @@ class ScenarioConfig:
                     raise ConfigError(
                         f"roster.starts places agent {spec.agent_id} at {spec.start}, outside the grid"
                     )
+                if spec.start in taken:
+                    raise ConfigError(
+                        f"roster.starts places more than one agent at {spec.start}"
+                    )
+                taken.add(spec.start)
         if set(self.topology.agents()) != set(ids):
             raise ConfigError("comms topology does not cover exactly the roster")
 

@@ -116,35 +116,13 @@ def reset(config: "ScenarioConfig", seed: int) -> GridState:
     """Build the initial state: agents placed, their start cells covered, t=0.
 
     Agents with a fixed start use it; the rest are placed uniformly at
-    random (seeded) on unoccupied cells. Raises ValueError on an invalid
-    geometry or roster.
+    random (seeded) on unoccupied cells. ``config`` must have passed
+    ``ScenarioConfig.validate``; an unvalidated one with more agents than
+    cells never returns.
     """
     width, height = config.width, config.height
-    if width < 2 or height < 2:
-        raise ValueError(f"invalid config: grid must be at least 2x2, got {width}x{height}")
     specs = sorted(config.roster, key=lambda spec: spec.agent_id)
-    if len(specs) < 2:
-        raise ValueError(f"invalid config: need at least 2 agents, got {len(specs)}")
-    ids = [spec.agent_id for spec in specs]
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"invalid config: duplicate agent id in {ids}")
-    if len(specs) > width * height:
-        raise ValueError(
-            f"invalid config: {len(specs)} agents cannot fit a {width}x{height} grid"
-        )
-
-    taken: set[tuple[int, int]] = set()
-    for spec in specs:
-        if spec.start is None:
-            continue
-        x, y = spec.start
-        if not (0 <= x < width and 0 <= y < height):
-            raise ValueError(
-                f"invalid config: start {spec.start} of agent {spec.agent_id} is off-grid"
-            )
-        if spec.start in taken:
-            raise ValueError(f"invalid config: duplicate start cell {spec.start}")
-        taken.add(spec.start)
+    taken = {spec.start for spec in specs if spec.start is not None}
 
     rng = random.Random(seed)
     positions: dict[int, tuple[int, int]] = {}

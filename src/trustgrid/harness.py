@@ -30,7 +30,7 @@ from .env import (
     step,
 )
 from .metrics import EpisodeSummary, StepLog, classify_step, f1, summarize
-from .policies import Action, AdversaryStrategy, adversary_act, greedy_action
+from .policies import Action, AdversaryStrategy, greedy_action
 from .trust import gate_messages, init_trust, step_trust_all
 
 CSV_HEADER = "step,episode,coverage,observer,peer,belief,verdict,tp,tn,fp,fn,f1"
@@ -125,11 +125,12 @@ def merge_observation(own: Observation, msgs: tuple[Message, ...]) -> Observatio
 def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     """One seeded episode under the scenario's defense mode.
 
-    Step order: broadcast, gate (trust-gating modes only), act, advance the
-    environment, then update every observer's trust from this step's
-    messages and actions so the verdicts shape the next step's gating.
-    Trust is monitored in every mode; only gating is mode-dependent.
+    Step order: observe, transmit, gate (trust-gating modes only), act,
+    advance the environment, then update every observer's trust from this
+    step's payloads and actions so the verdicts shape the next step's
+    gating. Trust is monitored in every mode; only gating is mode-dependent.
     """
+    cfg.validate()
     state = reset(cfg, seed)
     comms_rng = random.Random(f"comms:{seed}")
     gate_rng = random.Random(f"gate:{seed}")
@@ -143,7 +144,8 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
 
     steps: list[StepLog] = []
     for _ in range(cfg.steps):
-        payloads = transmit(state, roster, comms_rng, radius)
+        views = {i: observe(state, i, radius) for i in ids}
+        payloads = transmit(views, roster, comms_rng, (cfg.width, cfg.height))
         inboxes = address(payloads, cfg.topology, state.t)
         actions: dict[int, Action] = {}
         for i in ids:
@@ -152,20 +154,20 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
                 basis = (
                     payloads[i]
                     if spec.acting is AdversaryStrategy.CONSISTENT_LIAR
-                    else observe(state, i, radius)
+                    else views[i]
                 )
-                actions[i] = adversary_act(basis, spec.acting, cfg.oracle)
+                actions[i] = greedy_action(basis, cfg.oracle)
             else:
                 inbox = inboxes[i]
                 if gating:
                     inbox = gate_messages(
                         trust_states[i], inbox, cfg.tau, cfg.gating, gate_rng
                     )
-                merged = merge_observation(observe(state, i, radius), inbox)
+                merged = merge_observation(views[i], inbox)
                 actions[i] = greedy_action(merged, cfg.oracle)
         state, rewards = step(state, actions)
         verdict_map = step_trust_all(
-            trust_states, inboxes, actions, cfg.consistency, cfg.oracle
+            trust_states, payloads, heard, actions, cfg.consistency, cfg.oracle
         )
         confusion = classify_step(trust_states, roles, cfg.tau, heard)
         steps.append(

@@ -124,20 +124,10 @@ def action_values(obs: Observation, cfg: ValueOracleConfig) -> tuple[float, ...]
     return _value_table(obs.window_key(), obs.local_map.shape[0], cfg.gamma, cfg.horizon)
 
 
-def value(obs: Observation, action: Action, cfg: ValueOracleConfig) -> float:
-    """Discounted maximum window-coverage gain when acting ``action`` first."""
-    return action_values(obs, cfg)[action]
-
-
 def greedy_action(obs: Observation, cfg: ValueOracleConfig) -> Action:
     """Argmax action; ties go to the earliest action in the fixed order."""
     values = action_values(obs, cfg)
-    best = Action.UP
-    best_value = values[Action.UP]
-    for action in Action:
-        if values[action] > best_value:
-            best, best_value = action, values[action]
-    return best
+    return Action(values.index(max(values)))
 
 
 def action_distribution(
@@ -151,20 +141,6 @@ def action_distribution(
     weights = [math.exp((v - top) / temperature) for v in values]
     total = sum(weights)
     return ActionDistribution(tuple(w / total for w in weights))
-
-
-def adversary_act(
-    obs: Observation, strategy: AdversaryStrategy, cfg: ValueOracleConfig
-) -> Action:
-    """Action of a self-interested agent.
-
-    ``obs`` must be the strategy's decision basis: the agent's truthful
-    observation for NAIVE, the observation it transmitted this step for
-    CONSISTENT_LIAR (so its behavior matches its own claim).
-    """
-    if not isinstance(strategy, AdversaryStrategy):
-        raise ValueError(f"unknown adversary strategy {strategy!r}")
-    return greedy_action(obs, cfg)
 
 
 def clear_value_cache() -> None:

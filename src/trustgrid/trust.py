@@ -160,16 +160,16 @@ def calibrate_kl_threshold(
 
 def consistency_check(
     oracle: ValueOracleConfig,
-    msg_prev: Message,
+    payload: Observation,
     observed_action: Action,
     cfg: ConsistencyConfig,
 ) -> Verdict:
-    """Judge one peer message against the action the peer was seen to take.
+    """Judge a peer's claim against the action the peer was seen to take.
 
-    The observer evaluates the claimed observation with its own oracle; the
-    reported score is the value gap (or the KL surprise in KL mode).
+    The claimed observation is evaluated with the shared oracle, so the
+    verdict is the same for every observer; the reported score is the
+    value gap (or the KL surprise in KL mode).
     """
-    payload = msg_prev.payload
     if cfg.mode is ConsistencyMode.EXACT_MATCH:
         consistent = greedy_action(payload, oracle) == observed_action
         return Verdict(consistent, value_gap(payload, observed_action, oracle))
@@ -212,31 +212,39 @@ def update_belief(ts: TrustState, peer: int, verdict: Verdict) -> None:
 
 def step_trust_all(
     states: dict[int, TrustState],
-    prev_msgs: dict[int, tuple[Message, ...]],
+    payloads: dict[int, Observation],
+    heard: dict[int, tuple[int, ...]],
     observed_actions: dict[int, Action],
     cfg: ConsistencyConfig,
     oracle: ValueOracleConfig,
 ) -> dict[tuple[int, int], Verdict]:
     """One reevaluation round over every observer after an environment step.
 
-    ``prev_msgs`` holds each observer's inbox from the step just taken and
-    ``observed_actions`` the actions the senders were seen to take that
-    step. Every received message is judged, including messages the observer
-    chose not to act on, so beliefs can keep moving for gated senders. Each
+    ``payloads`` holds what each sender transmitted in the step just taken,
+    ``heard`` the senders each observer received a message from, and
+    ``observed_actions`` the actions the senders were seen to take. Each
+    heard sender is judged once, and that verdict counts for every
+    observer that heard it, including observers that chose not to act on
+    the message, so beliefs can keep moving for gated senders. Each
     observer advances its step counter exactly once; with no message there
     is no verdict and no belief change for that pair.
     """
+    judged: dict[int, Verdict] = {}
+    for sender in {j for i in states for j in heard.get(i, ())}:
+        if sender not in observed_actions:
+            raise KeyError(f"no observed action for message sender {sender}")
+        judged[sender] = consistency_check(
+            oracle, payloads[sender], observed_actions[sender], cfg
+        )
     verdicts: dict[tuple[int, int], Verdict] = {}
     for observer in sorted(states):
         ts = states[observer]
         ts.t += 1
-        for msg in prev_msgs.get(observer, ()):
-            if msg.sender not in observed_actions:
-                raise KeyError(f"no observed action for message sender {msg.sender}")
-            verdict = consistency_check(oracle, msg, observed_actions[msg.sender], cfg)
-            update_consistency_count(ts, msg.sender, verdict)
-            update_belief(ts, msg.sender, verdict)
-            verdicts[(observer, msg.sender)] = verdict
+        for sender in heard.get(observer, ()):
+            verdict = judged[sender]
+            update_consistency_count(ts, sender, verdict)
+            update_belief(ts, sender, verdict)
+            verdicts[(observer, sender)] = verdict
     return verdicts
 
 

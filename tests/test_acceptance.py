@@ -20,12 +20,11 @@ from trustgrid.comms import (
     AgentSpec,
     CommGraph,
     FalsificationStrategy,
-    Message,
     Role,
     transmit,
 )
 from trustgrid.config import DefenseMode, ScenarioConfig, load_scenarios, parse_config
-from trustgrid.env import Action, Observation, observe
+from trustgrid.env import Action, Observation
 from trustgrid.harness import run_episode, run_scenario, write_artifact
 from trustgrid.metrics import ConfusionCounts, classify_step, f1
 from trustgrid.policies import (
@@ -183,9 +182,8 @@ def test_criterion_2_score_matches_enumeration_oracle(capsys):
         reference = enumeration_values(window, 0.9, 3)
         best = max(reference)
         payload = Observation(0, (1, 1), np.array(window, dtype=np.int8), 0)
-        message = Message(0, payload, 0)
         for action in Action:
-            got = consistency_check(oracle, message, action, cfg).score
+            got = consistency_check(oracle, payload, action, cfg).score
             worst = max(worst, abs(got - (best - reference[action])))
             compared += 1
     elapsed = time.monotonic() - started
@@ -299,14 +297,14 @@ def record_material_lies(monkeypatch, cfg):
     liars = [i for i, role in cfg.roles().items() if role is Role.SELF_INTERESTED]
     record = []
 
-    def recording_transmit(state, roster, rng, radius):
-        payloads = transmit(state, roster, rng, radius)
+    def recording_transmit(views, roster, rng, grid_size):
+        payloads = transmit(views, roster, rng, grid_size)
         record.append(
             {
                 i
                 for i in liars
                 if greedy_action(payloads[i], cfg.oracle)
-                != greedy_action(observe(state, i, radius), cfg.oracle)
+                != greedy_action(views[i], cfg.oracle)
             }
         )
         return payloads

@@ -6,6 +6,8 @@ import csv
 import json
 import textwrap
 
+import pytest
+
 from trustgrid.cli import main
 
 BASE = """
@@ -81,10 +83,15 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
-def test_invalid_config_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "body",
+    ["[grid]\nwidth = 1\n", "[roster]\nstarts = 1,1; 1,1; 2,2; 3,3\n"],
+    ids=["narrow_grid", "shared_start"],
+)
+def test_invalid_config_is_a_usage_error(tmp_path, capsys, body):
     code = main(
         [
-            "--config", write(tmp_path, "[grid]\nwidth = 1\n"),
+            "--config", write(tmp_path, body),
             "--out", str(tmp_path / "x"),
         ]
     )

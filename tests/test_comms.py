@@ -14,7 +14,6 @@ from trustgrid.comms import (
     Message,
     Role,
     address,
-    broadcast,
     falsify,
     transmit,
 )
@@ -49,6 +48,10 @@ def fresh_state(roster, width=8, height=8, seed=0):
 
 def window_obs(rows, agent_id=0, position=(2, 2), t=0):
     return Observation(agent_id, position, np.array(rows, dtype=np.int8), t)
+
+
+def views_of(state, radius):
+    return {i: observe(state, i, radius) for i in state.positions}
 
 
 def test_complete_graph_counts_and_neighbors():
@@ -176,9 +179,9 @@ def test_transmit_orders_stream_by_agent_id():
         0: adversary(0, FalsificationStrategy.BABBLE, start=(0, 0)),
         1: adversary(1, FalsificationStrategy.BABBLE, start=(4, 4)),
     }
-    state = fresh_state(tuple(roster.values()))
-    a = transmit(state, roster, random.Random(5), radius=1)
-    b = transmit(state, roster, random.Random(5), radius=1)
+    views = views_of(fresh_state(tuple(roster.values())), radius=1)
+    a = transmit(views, roster, random.Random(5), (8, 8))
+    b = transmit(views, roster, random.Random(5), (8, 8))
     assert (a[0].local_map == b[0].local_map).all()
     assert (a[1].local_map == b[1].local_map).all()
 
@@ -188,9 +191,9 @@ def test_transmit_rejects_lying_cooperators():
         AgentSpec(0, Role.COOPERATIVE, falsification=FalsificationStrategy.LURE, start=(0, 0)),
         coop(1, start=(1, 1)),
     )
-    state = fresh_state(bad)
+    views = views_of(fresh_state(bad), radius=1)
     with pytest.raises(ValueError):
-        transmit(state, {spec.agent_id: spec for spec in bad}, random.Random(0), 1)
+        transmit(views, {spec.agent_id: spec for spec in bad}, random.Random(0), (8, 8))
 
 
 def test_broadcast_counts_and_truthful_payloads():
@@ -198,9 +201,13 @@ def test_broadcast_counts_and_truthful_payloads():
     roster = {spec.agent_id: spec for spec in roster_specs}
     state = fresh_state(roster_specs)
     graph = CommGraph.complete(list(roster))
-    before = state.copy()
-    inboxes = broadcast(state, graph, roster, random.Random(0), radius=2)
-    assert state == before  # never mutates
+    views = views_of(state, radius=2)
+    before = {
+        i: Observation(v.agent_id, v.position, v.local_map.copy(), v.t)
+        for i, v in views.items()
+    }
+    inboxes = address(transmit(views, roster, random.Random(0), (8, 8)), graph, state.t)
+    assert views == before  # never mutates
     assert sum(len(v) for v in inboxes.values()) == graph.directed_edge_count()
     for receiver, msgs in inboxes.items():
         assert [m.sender for m in msgs] == [i for i in roster if i != receiver]
@@ -219,7 +226,8 @@ def test_broadcast_applies_adversary_strategy():
     roster = {spec.agent_id: spec for spec in roster_specs}
     state = fresh_state(roster_specs)
     graph = CommGraph.complete(list(roster))
-    inboxes = broadcast(state, graph, roster, random.Random(0), radius=2)
+    payloads = transmit(views_of(state, radius=2), roster, random.Random(0), (8, 8))
+    inboxes = address(payloads, graph, state.t)
     lie = inboxes[1][0].payload
     truth = observe(state, 0, 2)
     flipped = lie.local_map[truth.local_map == CELL_UNCOVERED]
@@ -227,20 +235,11 @@ def test_broadcast_applies_adversary_strategy():
     assert (lie.local_map[truth.local_map == CELL_COVERED] == CELL_COVERED).all()
 
 
-def test_broadcast_requires_matching_roster():
-    roster_specs = (coop(0, (0, 0)), coop(1, (1, 1)))
-    roster = {spec.agent_id: spec for spec in roster_specs}
-    state = fresh_state(roster_specs)
-    graph = CommGraph.complete([0, 1, 2])
-    with pytest.raises(ValueError):
-        broadcast(state, graph, roster, random.Random(0), radius=1)
-
-
 def test_address_routes_by_topology():
     roster_specs = (coop(0, (0, 0)), coop(1, (2, 2)), coop(2, (4, 4)))
     roster = {spec.agent_id: spec for spec in roster_specs}
     state = fresh_state(roster_specs)
-    payloads = transmit(state, roster, random.Random(0), radius=1)
+    payloads = transmit(views_of(state, radius=1), roster, random.Random(0), (8, 8))
     graph = CommGraph.from_edges([0, 1, 2], [(0, 1)])
     inboxes = address(payloads, graph, state.t)
     assert [m.sender for m in inboxes[0]] == [1]

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import textwrap
+from dataclasses import replace
 
 import pytest
 
-from trustgrid.comms import FalsificationStrategy, Role
+from trustgrid.comms import CommGraph, FalsificationStrategy, Role
 from trustgrid.config import (
     ConfigError,
     DefenseMode,
@@ -220,12 +221,14 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[grid]\nwidth = 2\nheight = 2\n[roster]\nagents = 5\nadversaries = 0\n[defense]\nmode = ideal_coop\n", "grid cells"),
         ("[roster]\nstarts = 1,1\n", "4 agents"),
         ("[roster]\nstarts = 0,0; 1; 2,2; 3,3\n", "not 'x,y'"),
+        ("[roster]\nstarts = 1,1; 1,1; 2,2; 3,3\n", "more than one agent"),
         ("[comms]\ntopology = ring\n", "complete"),
         ("[comms]\ntopology = edges\nedges = 1-2, 9-3\n", "comms.edges"),
         ("[comms]\ntopology = edges\nedges = 1:2\n", "not 'a-b'"),
         ("[defense]\nmode = off\n", "defense.mode"),
         ("[defense]\nconsistency = euclid\n", "defense.consistency"),
         ("[roster]\nfalsification = mirage\n", "roster.falsification"),
+        ("[roster]\nacting = telepathic\n", "roster.acting"),
         ("[grid]\nwidth = ten\n", "integer"),
         ("[defense]\ntau = half\n", "number"),
         ("[grid]\ndepth = 3\n", "unknown key"),
@@ -238,6 +241,13 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
 def test_rejected_configs(tmp_path, body, pattern):
     with pytest.raises(ConfigError, match=pattern):
         parse_config(write_config(tmp_path, body))
+
+
+def test_topology_must_cover_exactly_the_roster(tmp_path):
+    body = "[roster]\nagents = 2\nadversaries = 0\n[defense]\nmode = ideal_coop\n"
+    cfg = parse_config(write_config(tmp_path, body))
+    with pytest.raises(ConfigError, match="topology"):
+        replace(cfg, topology=CommGraph.complete([0, 1, 2])).validate()
 
 
 def test_kl_with_threshold_is_accepted(tmp_path):

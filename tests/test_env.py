@@ -62,19 +62,6 @@ def test_reset_mixed_fixed_and_random_starts():
     assert state.positions[1] not in {(1, 1), (2, 3)}
 
 
-def test_reset_rejects_bad_geometry_and_rosters():
-    with pytest.raises(ValueError):
-        fixed(1, 5, [(0, 0), (0, 1)])
-    with pytest.raises(ValueError):
-        fixed(5, 5, [(0, 0)])  # lone agent
-    with pytest.raises(ValueError):
-        fixed(5, 5, [(0, 0), (9, 0)])  # off-grid start
-    with pytest.raises(ValueError):
-        fixed(5, 5, [(2, 2), (2, 2)])  # shared start
-    with pytest.raises(ValueError):
-        reset(Geometry(2, 2, [None] * 5), seed=0)  # more agents than cells
-
-
 def test_step_moves_and_covers():
     state = fixed(5, 5, [(2, 2), (0, 4)])
     nxt, rewards = step(state, {0: Action.RIGHT, 1: Action.UP})

@@ -4,12 +4,23 @@ from __future__ import annotations
 
 import json
 import textwrap
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
-from trustgrid.comms import Message
-from trustgrid.config import load_scenarios, parse_config
-from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Observation, reset
+from trustgrid import harness, trust
+from trustgrid.comms import Message, transmit
+from trustgrid.config import ConfigError, load_scenarios, parse_config
+from trustgrid.env import (
+    CELL_COVERED,
+    CELL_OOB,
+    CELL_UNCOVERED,
+    Action,
+    Observation,
+    reset,
+    step,
+)
 from trustgrid.harness import (
     CSV_HEADER,
     merge_observation,
@@ -18,6 +29,7 @@ from trustgrid.harness import (
     write_artifact,
 )
 from trustgrid.metrics import ConfusionCounts, f1
+from trustgrid.policies import greedy_action
 
 
 def obs(agent_id, position, rows, t=0):
@@ -192,6 +204,100 @@ def test_zero_tau_gating_reproduces_the_undefended_run(tmp_path):
     )
     with open(a_csv, "rb") as fh_a, open(b_csv, "rb") as fh_b:
         assert fh_a.read() == fh_b.read()
+
+
+@pytest.mark.parametrize(
+    "edges, heard_senders",
+    [("", 4), ("1-2, 1-3, 2-3", 3)],  # complete graph; the shipped control cut
+    ids=["complete", "control"],
+)
+def test_each_step_observes_each_agent_and_judges_each_heard_sender_once(
+    tmp_path, monkeypatch, edges, heard_senders
+):
+    topology = "edges" if edges else "complete"
+    cfg = config_from(
+        tmp_path,
+        SMALL_RUN + f"[comms]\ntopology = {topology}\nedges = {edges}\n",
+    )
+    calls = {"observe": 0, "consistency_check": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(harness, "observe", counted("observe", harness.observe))
+    monkeypatch.setattr(
+        trust, "consistency_check", counted("consistency_check", trust.consistency_check)
+    )
+    run_episode(cfg, cfg.seeds[0])
+    assert calls["observe"] == len(cfg.roster) * cfg.steps
+    assert calls["consistency_check"] == heard_senders * cfg.steps
+
+
+LIAR_RUN = """
+[grid]
+width = 6
+height = 6
+[episode]
+steps = 20
+seeds = 0:2
+[defense]
+mode = nodef
+"""
+
+
+def record_adversary(monkeypatch):
+    """Per step, agent 0's (truthful view, payload, action), taken at the
+    harness's own calls to ``transmit`` and ``step``."""
+    record = []
+
+    def recording_transmit(views, roster, rng, grid_size):
+        payloads = transmit(views, roster, rng, grid_size)
+        record.append((views[0], payloads[0]))
+        return payloads
+
+    def recording_step(state, actions):
+        record[-1] += (actions[0],)
+        return step(state, actions)
+
+    monkeypatch.setattr(harness, "transmit", recording_transmit)
+    monkeypatch.setattr(harness, "step", recording_step)
+    return record
+
+
+def test_naive_adversary_acts_greedily_on_its_view(tmp_path, monkeypatch):
+    cfg = config_from(tmp_path, LIAR_RUN)  # agent 0: naive, lure payloads
+    record = record_adversary(monkeypatch)
+    run_scenario(cfg)
+    assert len(record) == 2 * 20
+    for view, _, action in record:
+        assert action == greedy_action(view, cfg.oracle)
+    assert any(action is not Action.UP for _, _, action in record)
+
+
+def test_consistent_liar_acts_greedily_on_its_lie(tmp_path, monkeypatch):
+    cfg = config_from(tmp_path, LIAR_RUN + "[roster]\nacting = consistent_liar\n")
+    record = record_adversary(monkeypatch)
+    run_scenario(cfg)
+    assert len(record) == 2 * 20
+    for _, payload, action in record:
+        assert action == greedy_action(payload, cfg.oracle)
+        # an all-covered lure payload pins the liar to the tie-break action
+        assert action is Action.UP
+    assert any(action != greedy_action(view, cfg.oracle) for view, _, action in record)
+
+
+def test_run_episode_rejects_an_unvalidated_config(tmp_path):
+    cfg = config_from(tmp_path, SMALL_RUN + "[roster]\nagents = 5\nadversaries = 0\n")
+    for bad in (
+        replace(cfg, width=2, height=2),  # more agents than cells
+        replace(cfg, roster=tuple(replace(spec, start=(1, 1)) for spec in cfg.roster)),
+    ):
+        with pytest.raises(ConfigError):
+            run_episode(bad, 0)
 
 
 def test_lure_lies_cost_the_team_what_honesty_would_have_earned(tmp_path):

@@ -1,4 +1,4 @@
-"""Value oracle, greedy policy, softmax distribution, adversary acting."""
+"""Value oracle, greedy policy, softmax distribution."""
 
 from __future__ import annotations
 
@@ -11,13 +11,10 @@ from oracles import enumeration_values
 from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
 from trustgrid.policies import (
     ActionDistribution,
-    AdversaryStrategy,
     ValueOracleConfig,
     action_distribution,
     action_values,
-    adversary_act,
     greedy_action,
-    value,
 )
 
 
@@ -55,9 +52,9 @@ def test_single_uncovered_cell_right_horizon_one():
     rows[1][2] = CELL_UNCOVERED
     obs = window_obs(rows, position=(1, 1))
     cfg = ValueOracleConfig(gamma=0.9, horizon=1, radius=1)
-    assert value(obs, Action.RIGHT, cfg) == 1.0
+    assert action_values(obs, cfg)[Action.RIGHT] == 1.0
     for action in (Action.UP, Action.DOWN, Action.LEFT, Action.STAY):
-        assert value(obs, action, cfg) == 0.0
+        assert action_values(obs, cfg)[action] == 0.0
     assert greedy_action(obs, cfg) is Action.RIGHT
 
 
@@ -139,27 +136,6 @@ def test_action_distribution_validates_probabilities():
         ActionDistribution((1.0, -0.1, 0.05, 0.05, 0.0))
     with pytest.raises(ValueError):
         ActionDistribution((1.0, 0.0))
-
-
-def test_adversary_act_naive_equals_greedy():
-    rng = random.Random(31)
-    cfg = ValueOracleConfig()
-    for _ in range(20):
-        obs = window_obs(random_window(rng, 5))
-        assert adversary_act(obs, AdversaryStrategy.NAIVE, cfg) == greedy_action(obs, cfg)
-
-
-def test_adversary_act_consistent_liar_follows_its_lie():
-    # an all-covered lie pins the liar to the tie-break action
-    lie = window_obs([[CELL_COVERED] * 5 for _ in range(5)])
-    cfg = ValueOracleConfig()
-    assert adversary_act(lie, AdversaryStrategy.CONSISTENT_LIAR, cfg) is Action.UP
-
-
-def test_adversary_act_rejects_unknown_strategy():
-    obs = window_obs([[CELL_COVERED] * 5 for _ in range(5)])
-    with pytest.raises(ValueError):
-        adversary_act(obs, "naive", ValueOracleConfig())
 
 
 def test_values_are_deterministic_across_equal_observations():

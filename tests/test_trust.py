@@ -82,8 +82,8 @@ def test_value_gap_zero_for_value_ties():
 def test_exact_match_verdicts():
     cfg = ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH)
     obs = right_window()
-    assert consistency_check(ORACLE, msg(obs), Action.RIGHT, cfg) == Verdict(True, 0.0)
-    verdict = consistency_check(ORACLE, msg(obs), Action.DOWN, cfg)
+    assert consistency_check(ORACLE, obs, Action.RIGHT, cfg) == Verdict(True, 0.0)
+    verdict = consistency_check(ORACLE, obs, Action.DOWN, cfg)
     assert not verdict.consistent
     assert verdict.score == 1.0
 
@@ -95,7 +95,7 @@ def test_exact_match_flags_the_offbrand_tie():
     rows[1][2] = CELL_UNCOVERED
     obs = window_obs(rows)
     cfg = ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH)
-    verdict = consistency_check(ORACLE, msg(obs), Action.RIGHT, cfg)
+    verdict = consistency_check(ORACLE, obs, Action.RIGHT, cfg)
     assert verdict == Verdict(False, 0.0)
 
 
@@ -104,10 +104,10 @@ def test_value_threshold_verdicts():
     loose = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1)
     tight = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
     # greedy action passes every threshold
-    assert consistency_check(ORACLE, msg(obs), Action.RIGHT, loose).consistent
-    assert consistency_check(ORACLE, msg(obs), Action.RIGHT, tight).consistent
+    assert consistency_check(ORACLE, obs, Action.RIGHT, loose).consistent
+    assert consistency_check(ORACLE, obs, Action.RIGHT, tight).consistent
     # gap 1 fails rho = 0.1
-    verdict = consistency_check(ORACLE, msg(obs), Action.DOWN, loose)
+    verdict = consistency_check(ORACLE, obs, Action.DOWN, loose)
     assert verdict == Verdict(False, 1.0)
     # a sub-threshold gap passes, an over-threshold one fails
     cfg3 = ValueOracleConfig(gamma=0.9, horizon=3, radius=1)
@@ -120,9 +120,9 @@ def test_value_threshold_verdicts():
     gap_up = value_gap(obs2, Action.UP, cfg3)
     assert 0.0 < gap_up <= 0.1  # 1.9 down the right column vs 1.81 going up first
     near = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1)
-    assert consistency_check(cfg3, msg(obs2), Action.UP, near).consistent
+    assert consistency_check(cfg3, obs2, Action.UP, near).consistent
     assert not consistency_check(
-        cfg3, msg(obs2), Action.DOWN, near
+        cfg3, obs2, Action.DOWN, near
     ).consistent
 
 
@@ -137,8 +137,8 @@ def test_value_threshold_zero_accepts_exact_match_superset():
         ]
         obs = window_obs(rows)
         for action in Action:
-            e = consistency_check(ORACLE, msg(obs), action, exact).consistent
-            z = consistency_check(ORACLE, msg(obs), action, zero).consistent
+            e = consistency_check(ORACLE, obs, action, exact).consistent
+            z = consistency_check(ORACLE, obs, action, zero).consistent
             assert z or not e  # ExactMatch-consistent implies gap 0
 
 
@@ -151,7 +151,7 @@ def test_consistency_config_validation():
         ConsistencyConfig(temperature=0.0)
     with pytest.raises(ValueError):
         consistency_check(
-            ORACLE, msg(right_window()), Action.UP, ConsistencyConfig(mode=ConsistencyMode.KL)
+            ORACLE, right_window(), Action.UP, ConsistencyConfig(mode=ConsistencyMode.KL)
         )
 
 
@@ -214,14 +214,11 @@ def test_step_trust_all_cooperative_beliefs_stay_at_one():
     ids = [0, 1, 2]
     states = {i: init_trust(i, ids) for i in ids}
     cfg = ConsistencyConfig()
-    obs = {i: right_window(agent_id=i) for i in ids}
-    inboxes = {
-        i: tuple(msg(obs[j]) for j in ids if j != i)
-        for i in ids
-    }
+    payloads = {i: right_window(agent_id=i) for i in ids}
+    heard = {i: tuple(j for j in ids if j != i) for i in ids}
     actions = {i: Action.RIGHT for i in ids}
     for _ in range(5):
-        verdicts = step_trust_all(states, inboxes, actions, cfg, ORACLE)
+        verdicts = step_trust_all(states, payloads, heard, actions, cfg, ORACLE)
         assert all(v.consistent for v in verdicts.values())
     for i in ids:
         assert states[i].t == 6
@@ -232,15 +229,14 @@ def test_step_trust_all_flags_a_liar_everywhere():
     ids = [0, 1, 2]
     states = {i: init_trust(i, ids) for i in ids}
     cfg = ConsistencyConfig()
-    lie = window_obs([[CELL_COVERED] * 3 for _ in range(3)], agent_id=0)
-    truth = {i: right_window(agent_id=i) for i in (1, 2)}
-    inboxes = {
-        0: (msg(truth[1]), msg(truth[2])),
-        1: (msg(lie), msg(truth[2])),
-        2: (msg(lie), msg(truth[1])),
+    payloads = {
+        0: window_obs([[CELL_COVERED] * 3 for _ in range(3)], agent_id=0),  # the lie
+        1: right_window(agent_id=1),
+        2: right_window(agent_id=2),
     }
+    heard = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
     actions = {0: Action.RIGHT, 1: Action.RIGHT, 2: Action.RIGHT}
-    verdicts = step_trust_all(states, inboxes, actions, cfg, ORACLE)
+    verdicts = step_trust_all(states, payloads, heard, actions, cfg, ORACLE)
     # greedy on the all-covered lie is Up, agent 0 acted Right
     assert not verdicts[(1, 0)].consistent
     assert not verdicts[(2, 0)].consistent
@@ -252,29 +248,31 @@ def test_step_trust_all_flags_a_liar_everywhere():
 def test_step_trust_all_observers_are_independent():
     ids = [0, 1, 2]
     cfg = ConsistencyConfig()
-    obs = {i: right_window(agent_id=i) for i in ids}
+    payloads = {i: right_window(agent_id=i) for i in ids}
     actions = {i: Action.DOWN for i in ids}
 
     full = {i: init_trust(i, ids) for i in ids}
-    inboxes = {i: tuple(msg(obs[j]) for j in ids if j != i) for i in ids}
-    step_trust_all(full, inboxes, actions, cfg, ORACLE)
+    heard = {i: tuple(j for j in ids if j != i) for i in ids}
+    step_trust_all(full, payloads, heard, actions, cfg, ORACLE)
 
     solo = {1: init_trust(1, ids)}
-    step_trust_all(solo, {1: inboxes[1]}, actions, cfg, ORACLE)
+    step_trust_all(solo, payloads, {1: heard[1]}, actions, cfg, ORACLE)
     assert solo[1].beliefs == full[1].beliefs
     assert solo[1].counts == full[1].counts
 
 
 def test_step_trust_all_requires_sender_actions():
     states = {0: init_trust(0, [0, 1])}
-    inboxes = {0: (msg(right_window(agent_id=1)),)}
+    payloads = {1: right_window(agent_id=1)}
     with pytest.raises(KeyError):
-        step_trust_all(states, inboxes, {0: Action.STAY}, ConsistencyConfig(), ORACLE)
+        step_trust_all(
+            states, payloads, {0: (1,)}, {0: Action.STAY}, ConsistencyConfig(), ORACLE
+        )
 
 
 def test_step_trust_all_no_message_no_change():
     states = {0: init_trust(0, [0, 1])}
-    step_trust_all(states, {0: ()}, {}, ConsistencyConfig(), ORACLE)
+    step_trust_all(states, {}, {0: ()}, {}, ConsistencyConfig(), ORACLE)
     assert states[0].t == 2
     assert states[0].beliefs[1] == 1.0
     assert states[0].counts[1] == [0, 0]
@@ -350,8 +348,8 @@ def test_kl_mode_verdicts_respect_threshold():
     assert score > 0.0
     tight = ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=score / 2)
     loose = ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=score * 2)
-    assert not consistency_check(ORACLE, msg(obs), Action.DOWN, tight).consistent
-    assert consistency_check(ORACLE, msg(obs), Action.DOWN, loose).consistent
+    assert not consistency_check(ORACLE, obs, Action.DOWN, tight).consistent
+    assert consistency_check(ORACLE, obs, Action.DOWN, loose).consistent
 
 
 def test_calibrate_kl_threshold_single_and_empty():
