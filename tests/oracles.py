@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here recomputes a library quantity by a different method:
-action values by brute-force enumeration of whole action sequences, belief
+action values by brute-force enumeration of whole action sequences and by
+a plain recursive DP with the library's float operations (the bit-exact
+reference), belief
 trajectories by a literal replay of the update arithmetic, and KL surprise
 scores via the full five-term divergence sum. Nothing imports from
 trustgrid, so agreement is evidence rather than tautology.
@@ -49,6 +51,63 @@ def enumeration_values(window: list[list[int]], gamma: float, horizon: int) -> l
             if total > best:
                 best = total
         values.append(best)
+    return values
+
+
+def dp_values(window: list[list[int]], gamma: float, horizon: int) -> list[float]:
+    """Value per first action by the plain recursive DP over (cell, mask,
+    depth), memoised and fully recursive down to depth 0.
+
+    The float operations and their order are the library's: a step onto a
+    not-yet-collected uncovered cell is worth 1.0 + gamma * (rest), any
+    other step gamma * (rest), and a node keeps the first strict maximum
+    in action order starting from 0.0. Equality with this function is
+    therefore bit-for-bit, not approximate.
+    """
+    size = len(window)
+    cells = [cell for row in window for cell in row]
+    center = (size // 2) * size + (size // 2)
+
+    moves = []
+    for idx in range(size * size):
+        row, col = divmod(idx, size)
+        dests = []
+        for action in range(5):
+            dr, dc = MOVES[action]
+            nr, nc = row + dr, col + dc
+            if 0 <= nr < size and 0 <= nc < size and cells[nr * size + nc] != OOB:
+                dests.append(nr * size + nc)
+            else:
+                dests.append(idx)
+        moves.append(dests)
+
+    memo: dict[tuple[int, int, int], float] = {}
+
+    def best(idx: int, mask: int, depth: int) -> float:
+        if depth == 0:
+            return 0.0
+        key = (idx, mask, depth)
+        if key in memo:
+            return memo[key]
+        out = 0.0
+        for dest in moves[idx]:
+            bit = 1 << dest
+            if cells[dest] == UNCOVERED and not mask & bit:
+                v = 1.0 + gamma * best(dest, mask | bit, depth - 1)
+            else:
+                v = gamma * best(dest, mask, depth - 1)
+            if v > out:
+                out = v
+        memo[key] = out
+        return out
+
+    values = []
+    for dest in moves[center]:
+        bit = 1 << dest
+        if cells[dest] == UNCOVERED:
+            values.append(1.0 + gamma * best(dest, bit, horizon - 1))
+        else:
+            values.append(gamma * best(dest, 0, horizon - 1))
     return values
 
 

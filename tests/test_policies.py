@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import enumeration_values
+from oracles import dp_values, enumeration_values
 from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
 from trustgrid.policies import (
     ActionDistribution,
@@ -144,3 +144,45 @@ def test_values_are_deterministic_across_equal_observations():
     b = window_obs(rows, agent_id=3, position=(7, 2), t=9)
     cfg = ValueOracleConfig()
     assert action_values(a, cfg) == action_values(b, cfg)
+
+
+def sweep_window(rng, radius, share):
+    """A window with grid-edge OOB bands along the top or bottom and the
+    left or right; every other cell, the centre included, is uncovered
+    with probability ``share``."""
+    size = 2 * radius + 1
+    band_rows, band_cols = rng.randrange(radius + 1), rng.randrange(radius + 1)
+    far_side = rng.random() < 0.5
+
+    def off_grid(i, band):
+        return i >= size - band if far_side else i < band
+
+    rows = []
+    for r in range(size):
+        row = []
+        for c in range(size):
+            if off_grid(r, band_rows) or off_grid(c, band_cols):
+                row.append(CELL_OOB)
+            elif rng.random() < share:
+                row.append(CELL_UNCOVERED)
+            else:
+                row.append(CELL_COVERED)
+        rows.append(row)
+    return rows
+
+
+def test_values_equal_the_plain_dp_bit_for_bit():
+    # == and not approx: greedy tie-breaks compare these floats exactly
+    rng = random.Random(41)
+    for radius in range(1, 5):
+        for horizon in range(1, 8):
+            for share in (0.25, 0.5, 1.0):
+                for _ in range(2):
+                    rows = sweep_window(rng, radius, share)
+                    obs = window_obs(rows, position=(radius, radius))
+                    for gamma in (0.0, 0.5, 0.9, 0.99):
+                        cfg = ValueOracleConfig(gamma=gamma, horizon=horizon, radius=radius)
+                        got = list(action_values(obs, cfg))
+                        assert got == dp_values(rows, gamma, horizon), (
+                            radius, horizon, share, gamma, rows,
+                        )
