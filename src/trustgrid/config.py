@@ -236,19 +236,29 @@ def _build_scenario(name: str, values: dict[str, str]) -> ScenarioConfig:
     steps = _to_int("episode.steps", values["episode.steps"])
     seeds = parse_seeds(values["episode.seeds"])
 
-    oracle = ValueOracleConfig(
-        gamma=_to_float("oracle.gamma", values["oracle.gamma"]),
-        horizon=_to_int("oracle.horizon", values["oracle.horizon"]),
-        radius=_to_int("oracle.radius", values["oracle.radius"]),
-    )
+    # both configs' range errors start with the field name, so the section
+    # prefix turns them into the offending key
+    oracle_fields = {
+        "gamma": _to_float("oracle.gamma", values["oracle.gamma"]),
+        "horizon": _to_int("oracle.horizon", values["oracle.horizon"]),
+        "radius": _to_int("oracle.radius", values["oracle.radius"]),
+    }
+    try:
+        oracle = ValueOracleConfig(**oracle_fields)
+    except ValueError as exc:
+        raise ConfigError(f"oracle.{exc}") from None
 
     kl_raw = values["defense.kl_threshold"].strip()
-    consistency = ConsistencyConfig(
-        mode=_to_enum("defense.consistency", values["defense.consistency"]),
-        rho=_to_float("defense.rho", values["defense.rho"]),
-        kl_threshold=_to_float("defense.kl_threshold", kl_raw) if kl_raw else None,
-        temperature=_to_float("defense.temperature", values["defense.temperature"]),
-    )
+    consistency_fields = {
+        "mode": _to_enum("defense.consistency", values["defense.consistency"]),
+        "rho": _to_float("defense.rho", values["defense.rho"]),
+        "kl_threshold": _to_float("defense.kl_threshold", kl_raw) if kl_raw else None,
+        "temperature": _to_float("defense.temperature", values["defense.temperature"]),
+    }
+    try:
+        consistency = ConsistencyConfig(**consistency_fields)
+    except ValueError as exc:
+        raise ConfigError(f"defense.{exc}") from None
 
     n_agents = _to_int("roster.agents", values["roster.agents"])
     n_adv = _to_int("roster.adversaries", values["roster.adversaries"])

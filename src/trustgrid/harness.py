@@ -9,6 +9,7 @@ taken. Output is fully determined by (config, seed list), byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -291,6 +292,21 @@ def artifact_summary(artifact: RunArtifact) -> dict:
     return payload
 
 
+def _write_atomically(path: str, write) -> None:
+    """Call ``write(fh)`` on a temporary file beside ``path``, then move it
+    into place, so ``path`` is never left half-written. On any failure the
+    temporary file is removed and ``path`` keeps its old content."""
+    tmp_path = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp_path, "w", newline="") as fh:
+            write(fh)
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp_path)
+        raise
+
+
 def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
     """Write <scenario>.csv and <scenario>.json; byte-stable across reruns.
 
@@ -298,13 +314,13 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
     verdict are pair-level; tp/tn/fp/fn and f1 are the observer's counts
     for that step, so each row's counts sum to the observer's
     received-message count. Floats use 9 significant digits everywhere.
+    Each file is replaced whole or not at all.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = artifact.config
     heard = {i: cfg.topology.neighbors(i) for i in cfg.agent_ids()}
 
-    csv_path = os.path.join(out_dir, f"{cfg.name}.csv")
-    with open(csv_path, "w", newline="") as fh:
+    def write_csv(fh) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for ep in artifact.episodes:
@@ -330,8 +346,12 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
                             ]
                         )
 
-    json_path = os.path.join(out_dir, f"{cfg.name}.json")
-    with open(json_path, "w", newline="") as fh:
+    def write_json(fh) -> None:
         json.dump(_round_sig(artifact_summary(artifact)), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+    csv_path = os.path.join(out_dir, f"{cfg.name}.csv")
+    _write_atomically(csv_path, write_csv)
+    json_path = os.path.join(out_dir, f"{cfg.name}.json")
+    _write_atomically(json_path, write_json)
     return csv_path, json_path

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .env import ACTION_DELTAS, CELL_OOB, CELL_UNCOVERED, Action, Observation
+from .env import ACTION_DELTAS, CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,29 @@ class ActionDistribution:
         return self.probs[action]
 
 
+# one bit per window cell, set where the cell is uncovered; cell i is digit
+# i from the right once the translated bytes are reversed
+_UNCOVERED_DIGITS = bytes.maketrans(
+    bytes((CELL_UNCOVERED, CELL_COVERED, CELL_OOB)), b"100"
+)
+
+
+@lru_cache(maxsize=None)
+def _window_moves(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Per cell of a size x size window: the destination of each action in
+    ``Action`` order, a move off the window staying put, and the bitmask of
+    those destinations."""
+    moves = []
+    for idx in range(size * size):
+        row, col = divmod(idx, size)
+        dests = []
+        for dx, dy in ACTION_DELTAS.values():
+            nr, nc = row + dy, col + dx
+            dests.append(nr * size + nc if 0 <= nr < size and 0 <= nc < size else idx)
+        moves.append(tuple(dests))
+    return tuple(moves), tuple(sum(1 << d for d in set(dests)) for dests in moves)
+
+
 @lru_cache(maxsize=1 << 18)
 def _value_table(
     window_bytes: bytes, size: int, gamma: float, horizon: int
@@ -68,54 +91,85 @@ def _value_table(
     State is (cell index, bitmask of cells covered since the start). Moves
     that would leave the window or enter an out-of-grid cell resolve to
     staying put; arriving on an uncovered cell gains 1 and covers it.
-    """
-    cells = tuple(window_bytes)
-    center = (size // 2) * size + (size // 2)
 
-    moves: list[tuple[int, ...]] = []
-    for idx in range(size * size):
-        row, col = divmod(idx, size)
-        dests = []
-        for action in Action:
-            dx, dy = ACTION_DELTAS[action]
-            nr, nc = row + dy, col + dx
-            if 0 <= nr < size and 0 <= nc < size:
-                nidx = nr * size + nc
-                if cells[nidx] == CELL_OOB:
-                    nidx = idx  # blocked by an out-of-grid cell
-            else:
-                nidx = idx
-            dests.append(nidx)
-        moves.append(tuple(dests))
+    The last two levels are answered in closed form. A depth-1 node is
+    worth 1 + gamma * 0 when some move collects a cell and gamma * 0
+    otherwise, so each depth-2 child is worth one of four constants. The
+    constants come from the recursion's own float expressions, so every
+    value keeps its exact bits and greedy tie-breaks cannot change.
+    """
+    cells = window_bytes
+    center = (size // 2) * size + (size // 2)
+    moves, dest_bits = _window_moves(size)
+    if CELL_OOB in cells:
+        moves = [
+            tuple(idx if cells[dest] == CELL_OOB else dest for dest in dests)
+            for idx, dests in enumerate(moves)
+        ]
+    uncovered = int(cells.translate(_UNCOVERED_DIGITS)[::-1], 2)
+    # uncovered cells one move away; out-of-grid cells are never uncovered
+    near = [uncovered & bits for bits in dest_bits]
+
+    depth1 = 1.0 + gamma * 0.0, gamma * 0.0  # some move collects a cell, or none
+    both, first, second, neither = (
+        1.0 + gamma * depth1[0],
+        1.0 + gamma * depth1[1],
+        gamma * depth1[0],
+        gamma * depth1[1],
+    )
+
+    def best2(idx: int, mask: int, depth: int = 2) -> float:
+        """Value with two moves left; ``depth`` lets it stand in for ``best``."""
+        # both >= first > second >= neither, so the first one found is the max
+        free = ~mask
+        if near[idx] & free:
+            for dest in moves[idx]:
+                bit = 1 << dest
+                if uncovered & free & bit and near[dest] & free & ~bit:
+                    return both
+            return first
+        for dest in moves[idx]:
+            if near[dest] & free:
+                return second
+        return neither
 
     memo: dict[tuple[int, int, int], float] = {}
 
     def best(idx: int, mask: int, depth: int) -> float:
-        if depth == 0:
-            return 0.0
+        """Value with ``depth`` >= 3 moves left, memoised."""
         key = (idx, mask, depth)
         cached = memo.get(key)
         if cached is not None:
             return cached
+        child = best if depth > 3 else best2
         out = 0.0
         for dest in moves[idx]:
             bit = 1 << dest
             if cells[dest] == CELL_UNCOVERED and not mask & bit:
-                v = 1.0 + gamma * best(dest, mask | bit, depth - 1)
+                v = 1.0 + gamma * child(dest, mask | bit, depth - 1)
             else:
-                v = gamma * best(dest, mask, depth - 1)
+                v = gamma * child(dest, mask, depth - 1)
             if v > out:
                 out = v
         memo[key] = out
         return out
 
+    def value(idx: int, mask: int, depth: int) -> float:
+        if depth > 2:
+            return best(idx, mask, depth)
+        if depth == 2:
+            return best2(idx, mask)
+        if depth == 1:
+            return depth1[0] if near[idx] & ~mask else depth1[1]
+        return 0.0
+
     values = []
     for dest in moves[center]:
         bit = 1 << dest
         if cells[dest] == CELL_UNCOVERED:
-            values.append(1.0 + gamma * best(dest, bit, horizon - 1))
+            values.append(1.0 + gamma * value(dest, bit, horizon - 1))
         else:
-            values.append(gamma * best(dest, 0, horizon - 1))
+            values.append(gamma * value(dest, 0, horizon - 1))
     return tuple(values)
 
 

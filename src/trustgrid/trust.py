@@ -54,7 +54,7 @@ class ConsistencyConfig:
             raise ValueError(f"rho must be non-negative, got {self.rho}")
         if self.kl_threshold is not None and self.kl_threshold < 0.0:
             raise ValueError(
-                f"kl threshold must be non-negative, got {self.kl_threshold}"
+                f"kl_threshold must be non-negative, got {self.kl_threshold}"
             )
         if self.temperature <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")

@@ -85,8 +85,12 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "body",
-    ["[grid]\nwidth = 1\n", "[roster]\nstarts = 1,1; 1,1; 2,2; 3,3\n"],
-    ids=["narrow_grid", "shared_start"],
+    [
+        "[grid]\nwidth = 1\n",
+        "[roster]\nstarts = 1,1; 1,1; 2,2; 3,3\n",
+        "[oracle]\nhorizon = 0\n",
+    ],
+    ids=["narrow_grid", "shared_start", "zero_horizon"],
 )
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, body):
     code = main(

@@ -236,6 +236,12 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[scenario.x]\ngrid.depth = 3\n", "unknown key"),
         ("[scenario.]\ngrid.width = 3\n", "needs a name"),
         ("[episode]\nseeds =\n", "at least one seed"),
+        ("[oracle]\nhorizon = 0\n", r"oracle\.horizon must be >= 1"),
+        ("[oracle]\ngamma = 1.0\n", r"oracle\.gamma must be in \[0, 1\)"),
+        ("[oracle]\nradius = 0\n", r"oracle\.radius must be >= 1"),
+        ("[defense]\nrho = -1\n", r"defense\.rho must be non-negative"),
+        ("[defense]\ntemperature = 0\n", r"defense\.temperature must be positive"),
+        ("[defense]\nkl_threshold = -1\n", r"defense\.kl_threshold must be non-negative"),
     ],
 )
 def test_rejected_configs(tmp_path, body, pattern):

@@ -374,6 +374,39 @@ def test_artifact_files_are_complete_and_stable(tmp_path):
             assert fh_a.read() == fh_b.read()
 
 
+def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch):
+    cfg = config_from(tmp_path, ARTIFACT_RUN)
+    out = tmp_path / "out"
+    real_fmt = harness._fmt
+    calls = 0
+
+    def failing_fmt(value):
+        nonlocal calls
+        calls += 1
+        if calls == 200:
+            raise RuntimeError("disk gone")
+        return real_fmt(value)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_fmt", failing_fmt)
+        with pytest.raises(RuntimeError):
+            write_artifact(run_scenario(cfg), str(out))
+    assert sorted(p.name for p in out.iterdir()) == []
+
+    csv_path, _ = write_artifact(run_scenario(cfg), str(out))
+    with open(csv_path, "rb") as fh:
+        before = fh.read()
+    calls = 0
+    other = run_scenario(replace(cfg, seeds=(7, 8, 9)))
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_fmt", failing_fmt)
+        with pytest.raises(RuntimeError):
+            write_artifact(other, str(out))
+    assert sorted(p.name for p in out.iterdir()) == ["default.csv", "default.json"]
+    with open(csv_path, "rb") as fh:
+        assert fh.read() == before
+
+
 def test_isolated_agents_produce_no_rows(tmp_path):
     cfg = config_from(
         tmp_path,

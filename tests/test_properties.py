@@ -1,0 +1,138 @@
+"""Property tests for the engine's invariants, over generated inputs.
+
+``deadline=None`` throughout: example run times drift with host load, and
+a timing deadline would make these tests flaky without testing anything.
+"""
+
+from __future__ import annotations
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trustgrid.comms import CommGraph, Message
+from trustgrid.config import parse_config
+from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Observation
+from trustgrid.harness import merge_observation, run_episode
+
+FLAGS = (CELL_UNCOVERED, CELL_COVERED, CELL_OOB)
+
+
+@st.composite
+def windows(draw, agent_id):
+    radius = draw(st.integers(1, 2))
+    size = 2 * radius + 1
+    flat = draw(st.lists(st.sampled_from(FLAGS), min_size=size * size, max_size=size * size))
+    position = (draw(st.integers(0, 9)), draw(st.integers(0, 9)))
+    return Observation(agent_id, position, np.array(flat, dtype=np.int8).reshape(size, size), 0)
+
+
+def grid_cells(obs):
+    """(global x, global y) -> flag for every cell of the window."""
+    r = obs.radius
+    x, y = obs.position
+    return {
+        (x - r + col, y - r + row): int(obs.local_map[row, col])
+        for row in range(2 * r + 1)
+        for col in range(2 * r + 1)
+    }
+
+
+@settings(deadline=None, max_examples=200)
+@given(own=windows(0), payloads=st.lists(windows(1), max_size=4))
+def test_merge_never_uncovers_and_covers_only_claimed_cells(own, payloads):
+    msgs = tuple(Message(1, payload, 0) for payload in payloads)
+    merged = grid_cells(merge_observation(own, msgs))
+    claimed = {
+        cell
+        for payload in payloads
+        for cell, flag in grid_cells(payload).items()
+        if flag == CELL_COVERED
+    }
+    for cell, before in grid_cells(own).items():
+        after = merged[cell]
+        if before != CELL_UNCOVERED:
+            assert after == before  # covered stays covered, out-of-grid stays out
+        else:
+            # an uncovered cell flips exactly when some retained claim covers it
+            assert after == (CELL_COVERED if cell in claimed else CELL_UNCOVERED)
+
+
+def load_body(body: str):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w") as fh:
+            fh.write(body)
+        return parse_config(path)
+
+
+@st.composite
+def scenarios(draw):
+    width, height = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    agents = draw(st.integers(2, 4))
+    consistency = draw(st.sampled_from(["exact_match", "value_threshold", "kl"]))
+    return load_body(
+        f"""
+[grid]
+width = {width}
+height = {height}
+[episode]
+steps = {draw(st.integers(2, 12))}
+seeds = {draw(st.integers(0, 10_000))}
+[oracle]
+gamma = {draw(st.sampled_from([0.0, 0.5, 0.9]))}
+horizon = {draw(st.integers(1, 3))}
+radius = {draw(st.integers(1, 2))}
+[defense]
+mode = {draw(st.sampled_from(["nodef", "tom"]))}
+consistency = {consistency}
+rho = {draw(st.sampled_from([0.0, 0.3]))}
+kl_threshold = {0.05 if consistency == "kl" else ""}
+s = {draw(st.floats(0.1, 10.0))}
+tau = {draw(st.floats(0.0, 1.0))}
+gating = {draw(st.sampled_from(["threshold", "bernoulli"]))}
+[roster]
+agents = {agents}
+adversaries = {draw(st.integers(0, agents))}
+falsification = {draw(st.sampled_from(["truthful", "lure", "position_spoof", "babble"]))}
+acting = {draw(st.sampled_from(["naive", "consistent_liar"]))}
+"""
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(cfg=scenarios())
+def test_episode_coverage_rewards_and_beliefs(cfg):
+    run = run_episode(cfg, cfg.seeds[0])
+    cells = cfg.width * cfg.height
+    covered = len(cfg.roster)  # start cells are covered at reset
+    for entry in run.steps:
+        now = round(entry.coverage * cells)
+        assert now >= covered  # coverage never shrinks
+        assert sum(entry.rewards.values()) == now - covered
+        covered = now
+        assert all(0.0 <= belief <= 1.0 for belief in entry.beliefs.values())
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    ids=st.sets(st.integers(0, 12), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_graph_from_edges_is_symmetric(ids, data):
+    pool = sorted(ids)
+    pairs = data.draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), max_size=20)
+    )
+    edges = [(a, b) for a, b in pairs if a != b]
+    graph = CommGraph.from_edges(pool, edges)
+    assert graph.agents() == tuple(pool)
+    undirected = {frozenset(edge) for edge in edges}
+    for i in pool:
+        nbrs = graph.neighbors(i)
+        assert list(nbrs) == sorted(set(nbrs))
+        for j in pool:
+            assert (j in nbrs) == (i in graph.neighbors(j)) == (frozenset((i, j)) in undirected)
