@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .env import ACTION_DELTAS, CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
+from .env import ACTION_DELTAS, CELL_OOB, CELL_UNCOVERED, Action, Observation
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,6 @@ class ActionDistribution:
         return self.probs[action]
 
 
-# one bit per window cell, set where the cell is uncovered; cell i is digit
-# i from the right once the translated bytes are reversed
-_UNCOVERED_DIGITS = bytes.maketrans(
-    bytes((CELL_UNCOVERED, CELL_COVERED, CELL_OOB)), b"100"
-)
-
-
 @lru_cache(maxsize=None)
 def _window_moves(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """Per cell of a size x size window: the destination of each action in
@@ -106,7 +99,7 @@ def _value_table(
             tuple(idx if cells[dest] == CELL_OOB else dest for dest in dests)
             for idx, dests in enumerate(moves)
         ]
-    uncovered = int(cells.translate(_UNCOVERED_DIGITS)[::-1], 2)
+    uncovered = sum(1 << idx for idx, cell in enumerate(cells) if cell == CELL_UNCOVERED)
     # uncovered cells one move away; out-of-grid cells are never uncovered
     near = [uncovered & bits for bits in dest_bits]
 
