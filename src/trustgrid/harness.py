@@ -15,7 +15,9 @@ import json
 import os
 import random
 import statistics
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
@@ -292,18 +294,24 @@ def artifact_summary(artifact: RunArtifact) -> dict:
     return payload
 
 
-def _write_atomically(path: str, write) -> None:
-    """Call ``write(fh)`` on a temporary file beside ``path``, then move it
-    into place, so ``path`` is never left half-written. On any failure the
-    temporary file is removed and ``path`` keeps its old content."""
-    tmp_path = f"{path}.{os.getpid()}.tmp"
+def _write_atomically(writers: dict[str, Callable[[TextIO], None]]) -> None:
+    """Call each ``writers[path](fh)`` on a temporary file beside ``path``,
+    then move every file into place, so no path is left half-written and
+    a failure in any writer replaces none of them. On failure the
+    temporary files are removed."""
+    staged: list[tuple[str, str]] = []
     try:
-        with open(tmp_path, "w", newline="") as fh:
-            write(fh)
-        os.replace(tmp_path, path)
+        for path, write in writers.items():
+            tmp_path = f"{path}.{os.getpid()}.tmp"
+            staged.append((tmp_path, path))
+            with open(tmp_path, "w", newline="") as fh:
+                write(fh)
+        for tmp_path, path in staged:
+            os.replace(tmp_path, path)
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp_path)
+        for tmp_path, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp_path)
         raise
 
 
@@ -314,13 +322,13 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
     verdict are pair-level; tp/tn/fp/fn and f1 are the observer's counts
     for that step, so each row's counts sum to the observer's
     received-message count. Floats use 9 significant digits everywhere.
-    Each file is replaced whole or not at all.
+    Both files are written in full before either replaces an earlier run's.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = artifact.config
     heard = {i: cfg.topology.neighbors(i) for i in cfg.agent_ids()}
 
-    def write_csv(fh) -> None:
+    def write_csv(fh: TextIO) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))
         for ep in artifact.episodes:
@@ -346,12 +354,11 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
                             ]
                         )
 
-    def write_json(fh) -> None:
+    def write_json(fh: TextIO) -> None:
         json.dump(_round_sig(artifact_summary(artifact)), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     csv_path = os.path.join(out_dir, f"{cfg.name}.csv")
-    _write_atomically(csv_path, write_csv)
     json_path = os.path.join(out_dir, f"{cfg.name}.json")
-    _write_atomically(json_path, write_json)
+    _write_atomically({csv_path: write_csv, json_path: write_json})
     return csv_path, json_path

@@ -68,7 +68,8 @@ def _window_moves(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
     for idx in range(size * size):
         row, col = divmod(idx, size)
         dests = []
-        for dx, dy in ACTION_DELTAS.values():
+        for action in Action:
+            dx, dy = ACTION_DELTAS[action]
             nr, nc = row + dy, col + dx
             dests.append(nr * size + nc if 0 <= nr < size and 0 <= nc < size else idx)
         moves.append(tuple(dests))

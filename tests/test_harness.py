@@ -374,37 +374,47 @@ def test_artifact_files_are_complete_and_stable(tmp_path):
             assert fh_a.read() == fh_b.read()
 
 
-def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch):
+@pytest.mark.parametrize("failing", ["csv", "json"])
+def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, failing):
     cfg = config_from(tmp_path, ARTIFACT_RUN)
     out = tmp_path / "out"
     real_fmt = harness._fmt
     calls = 0
 
     def failing_fmt(value):
+        # raises part-way through the CSV rows
         nonlocal calls
         calls += 1
         if calls == 200:
             raise RuntimeError("disk gone")
         return real_fmt(value)
 
+    def failing_summary(artifact):
+        raise RuntimeError("disk gone")
+
+    def break_writer(patch):
+        if failing == "csv":
+            patch.setattr(harness, "_fmt", failing_fmt)
+        else:
+            patch.setattr(harness, "artifact_summary", failing_summary)
+
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_fmt", failing_fmt)
+        break_writer(patch)
         with pytest.raises(RuntimeError):
             write_artifact(run_scenario(cfg), str(out))
     assert sorted(p.name for p in out.iterdir()) == []
 
-    csv_path, _ = write_artifact(run_scenario(cfg), str(out))
-    with open(csv_path, "rb") as fh:
-        before = fh.read()
+    write_artifact(run_scenario(cfg), str(out))
+    names = ["default.csv", "default.json"]
+    before = [(out / name).read_bytes() for name in names]
     calls = 0
     other = run_scenario(replace(cfg, seeds=(7, 8, 9)))
     with monkeypatch.context() as patch:
-        patch.setattr(harness, "_fmt", failing_fmt)
+        break_writer(patch)
         with pytest.raises(RuntimeError):
             write_artifact(other, str(out))
-    assert sorted(p.name for p in out.iterdir()) == ["default.csv", "default.json"]
-    with open(csv_path, "rb") as fh:
-        assert fh.read() == before
+    assert sorted(p.name for p in out.iterdir()) == names
+    assert [(out / name).read_bytes() for name in names] == before
 
 
 def test_isolated_agents_produce_no_rows(tmp_path):
