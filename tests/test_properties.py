@@ -15,7 +15,14 @@ from hypothesis import strategies as st
 
 from trustgrid.comms import CommGraph, Message
 from trustgrid.config import parse_config
-from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Observation
+from trustgrid.env import (
+    CELL_COVERED,
+    CELL_OOB,
+    CELL_UNCOVERED,
+    GridState,
+    Observation,
+    observe,
+)
 from trustgrid.harness import merge_observation, run_episode
 
 FLAGS = (CELL_UNCOVERED, CELL_COVERED, CELL_OOB)
@@ -67,6 +74,31 @@ def test_merge_never_uncovers_and_covers_only_claimed_cells(own, payloads):
     # ``own`` itself comes back exactly when nothing flips; the benchmark's
     # no-op merge count relies on it
     assert (result is own) == (not flipped)
+
+
+@st.composite
+def placed_grids(draw):
+    width, height = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    flat = draw(st.lists(st.booleans(), min_size=width * height, max_size=width * height))
+    # edges and corners are drawn often, not left to chance
+    x = draw(st.sampled_from([0, width - 1]) | st.integers(0, width - 1))
+    y = draw(st.sampled_from([0, height - 1]) | st.integers(0, height - 1))
+    covered = np.array(flat, dtype=bool).reshape(height, width)
+    return GridState(width, height, covered, {3: (x, y)}, t=draw(st.integers(0, 50)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(state=placed_grids(), radius=st.integers(1, 4))
+def test_observe_matches_a_per_cell_reference(state, radius):
+    obs = observe(state, 3, radius)
+    x, y = state.positions[3]
+    assert (obs.agent_id, obs.position, obs.t, obs.radius) == (3, (x, y), state.t, radius)
+    assert obs.local_map.dtype == np.int8
+    for (gx, gy), flag in grid_cells(obs).items():
+        if 0 <= gx < state.width and 0 <= gy < state.height:
+            assert flag == (CELL_COVERED if state.covered[gy, gx] else CELL_UNCOVERED)
+        else:
+            assert flag == CELL_OOB
 
 
 def load_body(body: str):
