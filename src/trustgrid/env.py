@@ -185,11 +185,11 @@ def observe(state: GridState, agent_id: int, radius: int) -> Observation:
     window = np.full((size, size), CELL_OOB, dtype=np.int8)
     x0, x1 = max(0, x - radius), min(state.width, x + radius + 1)
     y0, y1 = max(0, y - radius), min(state.height, y + radius + 1)
-    sub = state.covered[y0:y1, x0:x1]
+    # bool casts to the markers: True -> 1 (CELL_COVERED), False -> 0 (CELL_UNCOVERED)
     window[
         y0 - (y - radius) : y1 - (y - radius),
         x0 - (x - radius) : x1 - (x - radius),
-    ] = np.where(sub, CELL_COVERED, CELL_UNCOVERED).astype(np.int8)
+    ] = state.covered[y0:y1, x0:x1]
     return Observation(agent_id, (x, y), window, state.t)
 
 

@@ -10,7 +10,6 @@ taken. Output is fully determined by (config, seed list), byte for byte.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
 import random
@@ -97,31 +96,27 @@ def merge_observation(own: Observation, msgs: tuple[Message, ...]) -> Observatio
     if not msgs:
         return own
     size = own.local_map.shape[0]
-    radius = own.radius
     x, y = own.position
-    window = None
+    left, top = x - own.radius, y - own.radius
+    claimed = np.zeros((size, size), dtype=bool)
     for msg in msgs:
         payload = msg.payload
-        rows, cols = np.nonzero(payload.local_map == CELL_COVERED)
-        if rows.size == 0:
-            continue
+        span = payload.local_map.shape[0]
         px, py = payload.position
-        own_rows = rows + (py - payload.radius) - (y - radius)
-        own_cols = cols + (px - payload.radius) - (x - radius)
-        inside = (
-            (own_rows >= 0) & (own_rows < size) & (own_cols >= 0) & (own_cols < size)
-        )
-        own_rows = own_rows[inside]
-        own_cols = own_cols[inside]
-        base = own.local_map if window is None else window
-        news = base[own_rows, own_cols] == CELL_UNCOVERED
-        if not news.any():
-            continue
-        if window is None:
-            window = own.local_map.copy()
-        window[own_rows[news], own_cols[news]] = CELL_COVERED
-    if window is None:
+        # the payload's corner in own-window coordinates, then the
+        # rectangle both windows share
+        dx, dy = px - payload.radius - left, py - payload.radius - top
+        c0, c1 = max(dx, 0), min(dx + span, size)
+        r0, r1 = max(dy, 0), min(dy + span, size)
+        if c0 < c1 and r0 < r1:
+            claimed[r0:r1, c0:c1] |= (
+                payload.local_map[r0 - dy : r1 - dy, c0 - dx : c1 - dx] == CELL_COVERED
+            )
+    claimed &= own.local_map == CELL_UNCOVERED
+    if not claimed.any():
         return own
+    window = own.local_map.copy()
+    window[claimed] = CELL_COVERED
     return Observation(own.agent_id, own.position, window, own.t)
 
 
@@ -329,30 +324,26 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
     heard = {i: cfg.topology.neighbors(i) for i in cfg.agent_ids()}
 
     def write_csv(fh: TextIO) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        # no field holds a comma, quote or newline, so none needs CSV quoting
+        fh.write(CSV_HEADER + "\n")
+        observers = sorted(heard)
         for ep in artifact.episodes:
             for entry in ep.steps:
-                for observer in sorted(heard):
+                prefix = f"{entry.step},{ep.seed},{_fmt(entry.coverage)},"
+                rows = []
+                for observer in observers:
                     counts = entry.confusion[observer]
-                    score = f1(counts)
+                    tail = (
+                        f",{counts.tp},{counts.tn},{counts.fp},{counts.fn},"
+                        f"{_fmt(f1(counts))}\n"
+                    )
                     for peer in heard[observer]:
-                        writer.writerow(
-                            [
-                                str(entry.step),
-                                str(ep.seed),
-                                _fmt(entry.coverage),
-                                str(observer),
-                                str(peer),
-                                _fmt(entry.beliefs[(observer, peer)]),
-                                _fmt(entry.verdicts[(observer, peer)]),
-                                str(counts.tp),
-                                str(counts.tn),
-                                str(counts.fp),
-                                str(counts.fn),
-                                _fmt(score),
-                            ]
+                        pair = (observer, peer)
+                        rows.append(
+                            f"{prefix}{observer},{peer},{_fmt(entry.beliefs[pair])},"
+                            f"{_fmt(entry.verdicts[pair])}{tail}"
                         )
+                fh.write("".join(rows))
 
     def write_json(fh: TextIO) -> None:
         json.dump(_round_sig(artifact_summary(artifact)), fh, indent=2, sort_keys=True)
