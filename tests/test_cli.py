@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import trustgrid
 from trustgrid.cli import main
 
 BASE = """
@@ -165,3 +169,18 @@ def test_unwritable_output_reports_io_failure(tmp_path):
     target.write_text("a file, not a directory")
     code = main(["--config", write(tmp_path, BASE), "--out", str(target)])
     assert code == 1
+
+
+def test_module_form_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trustgrid.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-m", "trustgrid", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: trustgrid")
