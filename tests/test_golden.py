@@ -29,7 +29,7 @@ BASE = """\
 width = 7
 height = 6
 [episode]
-steps = 15
+steps = {steps}
 seeds = 3,11
 [roster]
 agents = 4
@@ -51,8 +51,8 @@ TOPOLOGIES = {
 }
 
 
-def sweep_config() -> str:
-    sections = [BASE]
+def sweep_config(steps: int = 15) -> str:
+    sections = [BASE.format(steps=steps)]
     for falsification, acting, consistency, gating, topology in itertools.product(
         FALSIFICATIONS, ACTINGS, CONSISTENCIES, GATINGS, TOPOLOGIES
     ):
@@ -69,11 +69,11 @@ def sweep_config() -> str:
     return "\n".join(sections)
 
 
-def sweep_digests(work_dir: str) -> dict[str, str]:
+def sweep_digests(work_dir: str, steps: int = 15) -> dict[str, str]:
     """SHA-256 of each scenario's CSV bytes followed by its JSON bytes."""
     path = os.path.join(work_dir, "sweep.ini")
     with open(path, "w") as fh:
-        fh.write(sweep_config())
+        fh.write(sweep_config(steps))
     digests = {}
     for name, cfg in load_scenarios(path).items():
         csv_path, json_path = write_artifact(run_scenario(cfg), work_dir)
