@@ -33,6 +33,13 @@ class FalsificationStrategy(Enum):
     BABBLE = "babble"  # random flags, no usable content
 
 
+# Strategies that draw from the sender's rng stream on every call, so their
+# payload changes from step to step even when the truthful view does not.
+RANDOM_FALSIFICATIONS = frozenset(
+    {FalsificationStrategy.POSITION_SPOOF, FalsificationStrategy.BABBLE}
+)
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """Roster entry: who an agent is and how it communicates and acts."""

@@ -20,7 +20,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .comms import FalsificationStrategy, Message, Role, address, transmit
+from .comms import RANDOM_FALSIFICATIONS, FalsificationStrategy, Message, Role, address, transmit
 from .config import ScenarioConfig
 from .env import (
     CELL_COVERED,
@@ -33,7 +33,7 @@ from .env import (
 )
 from .metrics import EpisodeSummary, StepLog, classify_step, f1, summarize
 from .policies import Action, AdversaryStrategy, greedy_action
-from .trust import gate_messages, init_trust, step_trust_all
+from .trust import Verdict, gate_messages, init_trust, step_trust_all
 
 CSV_HEADER = "step,episode,coverage,observer,peer,belief,verdict,tp,tn,fp,fn,f1"
 
@@ -127,6 +127,14 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     advance the environment, then update every observer's trust from this
     step's payloads and actions so the verdicts shape the next step's
     gating. Trust is monitored in every mode; only gating is mode-dependent.
+
+    A stage is recomputed only when its inputs changed. After a step that
+    moved no agent, when no sender's falsification draws randomness, the
+    views, payloads and inboxes are last step's; a cooperative agent whose
+    gated inbox keeps the same senders keeps its action, a self-interested
+    agent keeps its action, and a sender whose action is unchanged keeps
+    its verdict. Gating, the environment step, the trust update and
+    classification run every step.
     """
     cfg.validate()
     state = reset(cfg, seed)
@@ -139,34 +147,48 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     trust_states = {i: init_trust(i, ids, cfg.s) for i in ids}
     heard = {i: cfg.topology.neighbors(i) for i in ids}
     gating = cfg.gating_enabled()
+    redraws = any(spec.falsification in RANDOM_FALSIFICATIONS for spec in cfg.roster)
 
     steps: list[StepLog] = []
+    moved = True
+    actions: dict[int, Action] = {}
+    kept: dict[int, tuple[int, ...]] = {}  # cooperative agent -> senders it acted on
+    judged: dict[int, Verdict] = {}  # sender -> last step's verdict
     for _ in range(cfg.steps):
-        views = {i: observe(state, i, radius) for i in ids}
-        payloads = transmit(views, roster, comms_rng, (cfg.width, cfg.height))
-        inboxes = address(payloads, cfg.topology, state.t)
-        actions: dict[int, Action] = {}
+        fresh = moved or redraws
+        if fresh:
+            views = {i: observe(state, i, radius) for i in ids}
+            payloads = transmit(views, roster, comms_rng, (cfg.width, cfg.height))
+            inboxes = address(payloads, cfg.topology, state.t)
+        previous = actions
+        actions = dict(previous)
         for i in ids:
             spec = roster[i]
             if spec.role is Role.SELF_INTERESTED:
-                basis = (
-                    payloads[i]
-                    if spec.acting is AdversaryStrategy.CONSISTENT_LIAR
-                    else views[i]
-                )
-                actions[i] = greedy_action(basis, cfg.oracle)
-            else:
-                inbox = inboxes[i]
-                if gating:
-                    inbox = gate_messages(
-                        trust_states[i], inbox, cfg.tau, cfg.gating, gate_rng
+                if fresh:
+                    basis = (
+                        payloads[i]
+                        if spec.acting is AdversaryStrategy.CONSISTENT_LIAR
+                        else views[i]
                     )
+                    actions[i] = greedy_action(basis, cfg.oracle)
+                continue
+            inbox = inboxes[i]
+            if gating:
+                inbox = gate_messages(trust_states[i], inbox, cfg.tau, cfg.gating, gate_rng)
+            senders = tuple(msg.sender for msg in inbox)
+            if fresh or senders != kept[i]:
+                kept[i] = senders
                 merged = merge_observation(views[i], inbox)
                 actions[i] = greedy_action(merged, cfg.oracle)
+        positions = state.positions
         state, rewards = step(state, actions)
+        moved = state.positions != positions
+        known = {} if fresh else {j: v for j, v in judged.items() if actions[j] == previous[j]}
         verdict_map = step_trust_all(
-            trust_states, payloads, heard, actions, cfg.consistency, cfg.oracle
+            trust_states, payloads, heard, actions, cfg.consistency, cfg.oracle, known
         )
+        judged = {sender: verdict for (_, sender), verdict in verdict_map.items()}
         confusion = classify_step(trust_states, roles, cfg.tau, heard)
         steps.append(
             StepLog(

@@ -24,7 +24,7 @@ from trustgrid.comms import (
     transmit,
 )
 from trustgrid.config import DefenseMode, ScenarioConfig, load_scenarios, parse_config
-from trustgrid.env import Action, Observation
+from trustgrid.env import Action, Observation, step
 from trustgrid.harness import run_episode, run_scenario, write_artifact
 from trustgrid.metrics import ConfusionCounts, classify_step, f1
 from trustgrid.policies import (
@@ -291,25 +291,33 @@ def record_material_lies(monkeypatch, cfg):
     A material lie is a payload on which a cooperative agent would act
     differently than on the sender's true window. This is ground truth
     taken from the world, not from any observer's verdict. Wraps the
-    harness's ``transmit`` and returns the list it fills: one set of
+    harness's ``transmit``, which judges each payload it makes, and its
+    ``step``, which appends the latest judgement once per step: after a
+    step that moved no agent the harness reuses last step's truthful views
+    and payloads without calling ``transmit``, so those steps carry the
+    last recorded set forward. Returns the list it fills: one set of
     senders per step, in the order ``run_scenario(cfg)`` runs them.
     """
     liars = [i for i, role in cfg.roles().items() if role is Role.SELF_INTERESTED]
+    latest: set[int] = set()
     record = []
 
     def recording_transmit(views, roster, rng, grid_size):
+        nonlocal latest
         payloads = transmit(views, roster, rng, grid_size)
-        record.append(
-            {
-                i
-                for i in liars
-                if greedy_action(payloads[i], cfg.oracle)
-                != greedy_action(views[i], cfg.oracle)
-            }
-        )
+        latest = {
+            i
+            for i in liars
+            if greedy_action(payloads[i], cfg.oracle) != greedy_action(views[i], cfg.oracle)
+        }
         return payloads
 
+    def recording_step(state, actions):
+        record.append(latest)
+        return step(state, actions)
+
     monkeypatch.setattr("trustgrid.harness.transmit", recording_transmit)
+    monkeypatch.setattr("trustgrid.harness.step", recording_step)
     return record
 
 

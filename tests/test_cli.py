@@ -171,6 +171,22 @@ def test_unwritable_output_reports_io_failure(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "error", [ValueError("engine fault"), KeyError("engine fault")], ids=["value", "key"]
+)
+def test_engine_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch, error):
+    def failing_run(cfg):
+        raise error
+
+    monkeypatch.setattr("trustgrid.cli.run_scenario", failing_run)
+    code = main(["--config", write(tmp_path, BASE), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "engine fault" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "default.csv").exists()
+
+
 def test_module_form_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(trustgrid.__file__)))
     path = os.environ.get("PYTHONPATH")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 import textwrap
 from dataclasses import replace
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from trustgrid import harness, trust
-from trustgrid.comms import Message, transmit
+from trustgrid.comms import Message, Role, falsify, transmit
 from trustgrid.config import ConfigError, load_scenarios, parse_config
 from trustgrid.env import (
     CELL_COVERED,
@@ -18,6 +19,7 @@ from trustgrid.env import (
     CELL_UNCOVERED,
     Action,
     Observation,
+    observe,
     reset,
     step,
 )
@@ -206,6 +208,30 @@ def test_zero_tau_gating_reproduces_the_undefended_run(tmp_path):
         assert fh_a.read() == fh_b.read()
 
 
+def record_steps(monkeypatch):
+    """Per call of the harness's ``step``: (state before, state after,
+    actions). The harness calls ``step`` once per episode step."""
+    log = []
+
+    def recording_step(state, actions):
+        after, rewards = step(state, actions)
+        log.append((state, after, dict(actions)))
+        return after, rewards
+
+    monkeypatch.setattr(harness, "step", recording_step)
+    return log
+
+
+def recomputed(log):
+    """Per logged step, whether its views must be recomputed: the first
+    step of an episode and every step after one that moved an agent. (The
+    falsifications these runs use draw no randomness.)"""
+    return [
+        before.t == 0 or log[k - 1][0].positions != log[k - 1][1].positions
+        for k, (before, _, _) in enumerate(log)
+    ]
+
+
 @pytest.mark.parametrize(
     "edges, heard_senders",
     [("", 4), ("1-2, 1-3, 2-3", 3)],  # complete graph; the shipped control cut
@@ -214,6 +240,10 @@ def test_zero_tau_gating_reproduces_the_undefended_run(tmp_path):
 def test_each_step_observes_each_agent_and_judges_each_heard_sender_once(
     tmp_path, monkeypatch, edges, heard_senders
 ):
+    """Every agent is observed once on each step that recomputes views and
+    not at all on a step that reuses them. Each heard sender is judged once
+    on a recomputed step; on a reused step only a sender whose action
+    differs from last step's is judged again."""
     topology = "edges" if edges else "complete"
     cfg = config_from(
         tmp_path,
@@ -232,9 +262,21 @@ def test_each_step_observes_each_agent_and_judges_each_heard_sender_once(
     monkeypatch.setattr(
         trust, "consistency_check", counted("consistency_check", trust.consistency_check)
     )
+    log = record_steps(monkeypatch)
     run_episode(cfg, cfg.seeds[0])
-    assert calls["observe"] == len(cfg.roster) * cfg.steps
-    assert calls["consistency_check"] == heard_senders * cfg.steps
+    fresh = recomputed(log)
+    assert len(fresh) == cfg.steps
+    assert 0 < sum(fresh) < cfg.steps  # both kinds of step occur
+    assert calls["observe"] == len(cfg.roster) * sum(fresh)
+    senders = {j for i in cfg.agent_ids() for j in cfg.topology.neighbors(i)}
+    assert len(senders) == heard_senders
+    rejudged = sum(
+        log[k][2][j] != log[k - 1][2][j]
+        for k in range(1, cfg.steps)
+        if not fresh[k]
+        for j in senders
+    )
+    assert calls["consistency_check"] == heard_senders * sum(fresh) + rejudged
 
 
 LIAR_RUN = """
@@ -250,28 +292,45 @@ mode = nodef
 
 
 def record_adversary(monkeypatch):
-    """Per step, agent 0's (truthful view, payload, action), taken at the
-    harness's own calls to ``transmit`` and ``step``."""
-    record = []
+    """Starts recording agent 0's truthful view and payload at the
+    harness's own calls to ``transmit``, and every step with
+    ``record_steps``. Call ``adversary_steps`` on the result after the run."""
+    sent = []
 
     def recording_transmit(views, roster, rng, grid_size):
         payloads = transmit(views, roster, rng, grid_size)
-        record.append((views[0], payloads[0]))
+        sent.append((views[0], payloads[0]))
         return payloads
 
-    def recording_step(state, actions):
-        record[-1] += (actions[0],)
-        return step(state, actions)
-
     monkeypatch.setattr(harness, "transmit", recording_transmit)
-    monkeypatch.setattr(harness, "step", recording_step)
-    return record
+    return sent, record_steps(monkeypatch)
+
+
+def adversary_steps(recording, radius):
+    """Per step, agent 0's (truthful view, payload, action). ``transmit``
+    runs exactly on the steps that recompute views; the others reuse the
+    last view and payload, which must still show the world as it is."""
+    sent, log = recording
+    fresh = recomputed(log)
+    assert len(sent) == sum(fresh)
+    assert sum(fresh) < len(log)  # some steps reuse
+    out = []
+    k = -1
+    for (before, _, actions), new in zip(log, fresh):
+        k += new
+        view, payload = sent[k]
+        truth = observe(before, 0, radius)
+        assert view.position == truth.position
+        assert np.array_equal(view.local_map, truth.local_map)
+        out.append((view, payload, actions[0]))
+    return out
 
 
 def test_naive_adversary_acts_greedily_on_its_view(tmp_path, monkeypatch):
     cfg = config_from(tmp_path, LIAR_RUN)  # agent 0: naive, lure payloads
-    record = record_adversary(monkeypatch)
+    recording = record_adversary(monkeypatch)
     run_scenario(cfg)
+    record = adversary_steps(recording, cfg.oracle.radius)
     assert len(record) == 2 * 20
     for view, _, action in record:
         assert action == greedy_action(view, cfg.oracle)
@@ -280,14 +339,133 @@ def test_naive_adversary_acts_greedily_on_its_view(tmp_path, monkeypatch):
 
 def test_consistent_liar_acts_greedily_on_its_lie(tmp_path, monkeypatch):
     cfg = config_from(tmp_path, LIAR_RUN + "[roster]\nacting = consistent_liar\n")
-    record = record_adversary(monkeypatch)
+    recording = record_adversary(monkeypatch)
     run_scenario(cfg)
+    record = adversary_steps(recording, cfg.oracle.radius)
     assert len(record) == 2 * 20
     for _, payload, action in record:
         assert action == greedy_action(payload, cfg.oracle)
         # an all-covered lure payload pins the liar to the tie-break action
         assert action is Action.UP
     assert any(action != greedy_action(view, cfg.oracle) for view, _, action in record)
+
+
+PARKED_RUN = """
+[grid]
+width = 4
+height = 2
+[episode]
+steps = 20
+seeds = 5
+[roster]
+agents = 4
+adversaries = 1
+"""
+
+
+def parked_steps(log):
+    """How many logged steps follow a step of the same episode that moved
+    no agent."""
+    return len(log) - sum(recomputed(log))
+
+
+def test_a_parked_step_whose_kept_senders_change_acts_on_the_new_merge(
+    tmp_path, monkeypatch
+):
+    # Agent 0 lies with a lure payload that claims the one uncovered cell,
+    # (2, 1), is covered. Nobody can reach another uncovered cell within
+    # the one-step horizon, so everyone parks on the top row: an all-zero
+    # value table picks UP. Once gating drops agent 0's message, the
+    # agent at (2, 0) sees the cell and must step DOWN into it, although
+    # no position moved in the step before.
+    cfg = config_from(
+        tmp_path,
+        """
+        [grid]
+        width = 3
+        height = 2
+        [episode]
+        steps = 12
+        seeds = 0
+        [oracle]
+        horizon = 1
+        [roster]
+        agents = 5
+        adversaries = 1
+        starts = 0,0; 1,0; 2,0; 0,1; 1,1
+        """,
+    )
+    drop_from = 6
+    log = record_steps(monkeypatch)
+
+    def gate_out_the_liar_late(ts, msgs, *args):
+        kept = trust.gate_messages(ts, msgs, *args)
+        if len(log) < drop_from:
+            return kept
+        return tuple(m for m in kept if m.sender != 0)
+
+    monkeypatch.setattr(harness, "gate_messages", gate_out_the_liar_late)
+    ep = run_episode(cfg, cfg.seeds[0])
+    before, after, actions = log[drop_from - 1]
+    assert before.positions == after.positions  # step drop_from reuses
+    assert ep.steps[drop_from - 1].coverage == 5 / 6
+    assert log[drop_from][2][2] is Action.DOWN
+    assert ep.steps[drop_from].coverage == 1.0
+    # agent 2's payload shows the cell uncovered, so parking was judged
+    # inconsistent and the new action, with the same payload, consistent
+    assert ep.steps[drop_from - 1].verdicts[(1, 2)] is False
+    assert ep.steps[drop_from].verdicts[(1, 2)] is True
+
+
+@pytest.mark.parametrize("falsification", ["babble", "position_spoof"])
+def test_random_falsifications_draw_every_step_in_order(
+    tmp_path, monkeypatch, falsification
+):
+    cfg = config_from(tmp_path, PARKED_RUN + f"falsification = {falsification}\n")
+    sent = []
+
+    def recording_transmit(views, roster, rng, grid_size):
+        payloads = transmit(views, roster, rng, grid_size)
+        sent.append((views, payloads))
+        return payloads
+
+    monkeypatch.setattr(harness, "transmit", recording_transmit)
+    log = record_steps(monkeypatch)
+    seed = cfg.seeds[0]
+    run_episode(cfg, seed)
+    assert parked_steps(log) > 0
+    assert len(sent) == cfg.steps
+    rng = random.Random(f"comms:{seed}")
+    for views, payloads in sent:
+        for i in sorted(views):
+            strategy = cfg.roster[i].falsification
+            assert falsify(views[i], strategy, rng, (cfg.width, cfg.height)) == payloads[i]
+
+
+def test_bernoulli_gating_draws_once_per_message_every_step(tmp_path, monkeypatch):
+    cfg = config_from(tmp_path, PARKED_RUN + "[defense]\ngating = bernoulli\n")
+    draws = []
+
+    def recording_gate(ts, msgs, tau, mode, rng):
+        before = rng.getstate()
+        kept = trust.gate_messages(ts, msgs, tau, mode, rng)
+        draws.append((before, len(msgs), rng.getstate()))
+        return kept
+
+    monkeypatch.setattr(harness, "gate_messages", recording_gate)
+    log = record_steps(monkeypatch)
+    seed = cfg.seeds[0]
+    run_episode(cfg, seed)
+    assert parked_steps(log) > 0
+    cooperative = sum(spec.role is Role.COOPERATIVE for spec in cfg.roster)
+    assert len(draws) == cooperative * cfg.steps
+    replay = random.Random(f"gate:{seed}")
+    for before, n_msgs, after in draws:
+        assert n_msgs == len(cfg.roster) - 1
+        assert before == replay.getstate()
+        for _ in range(n_msgs):
+            replay.random()
+        assert after == replay.getstate()
 
 
 def test_run_episode_rejects_an_unvalidated_config(tmp_path):
