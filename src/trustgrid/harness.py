@@ -33,7 +33,7 @@ from .env import (
 )
 from .metrics import EpisodeSummary, StepLog, classify_step, f1, summarize
 from .policies import Action, AdversaryStrategy, greedy_action
-from .trust import Verdict, gate_messages, init_trust, step_trust_all
+from .trust import gate_messages, init_trust, step_trust_all
 
 CSV_HEADER = "step,episode,coverage,observer,peer,belief,verdict,tp,tn,fp,fn,f1"
 
@@ -152,8 +152,7 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     steps: list[StepLog] = []
     moved = True
     actions: dict[int, Action] = {}
-    kept: dict[int, tuple[int, ...]] = {}  # cooperative agent -> senders it acted on
-    judged: dict[int, Verdict] = {}  # sender -> last step's verdict
+    kept: dict[int, tuple[Message, ...]] = {}  # cooperative agent -> inbox it acted on
     for _ in range(cfg.steps):
         fresh = moved or redraws
         if fresh:
@@ -176,19 +175,22 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
             inbox = inboxes[i]
             if gating:
                 inbox = gate_messages(trust_states[i], inbox, cfg.tau, cfg.gating, gate_rng)
-            senders = tuple(msg.sender for msg in inbox)
-            if fresh or senders != kept[i]:
-                kept[i] = senders
+            if fresh or inbox != kept[i]:
+                kept[i] = inbox
                 merged = merge_observation(views[i], inbox)
                 actions[i] = greedy_action(merged, cfg.oracle)
         positions = state.positions
         state, rewards = step(state, actions)
         moved = state.positions != positions
-        known = {} if fresh else {j: v for j, v in judged.items() if actions[j] == previous[j]}
+        # last step's verdicts, for senders whose payload and action both stayed
+        known = (
+            {}
+            if fresh
+            else {j: v for (_, j), v in verdict_map.items() if actions[j] == previous[j]}
+        )
         verdict_map = step_trust_all(
             trust_states, payloads, heard, actions, cfg.consistency, cfg.oracle, known
         )
-        judged = {sender: verdict for (_, sender), verdict in verdict_map.items()}
         confusion = classify_step(trust_states, roles, cfg.tau, heard)
         steps.append(
             StepLog(
