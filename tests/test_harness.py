@@ -223,9 +223,9 @@ def record_steps(monkeypatch):
 
 
 def recomputed(log):
-    """Per logged step, whether its views must be recomputed: the first
-    step of an episode and every step after one that moved an agent. (The
-    falsifications these runs use draw no randomness.)"""
+    """Per logged step, whether its views must be recomputed when no
+    sender's falsification draws randomness: the first step of an episode
+    and every step after one that moved an agent."""
     return [
         before.t == 0 or log[k - 1][0].positions != log[k - 1][1].positions
         for k, (before, _, _) in enumerate(log)
