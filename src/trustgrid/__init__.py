@@ -10,7 +10,6 @@ from .comms import (
     AgentSpec,
     CommGraph,
     FalsificationStrategy,
-    Message,
     Role,
     falsify,
 )

@@ -104,26 +104,6 @@ class CommGraph:
                 return nbrs
         raise KeyError(f"unknown agent {agent_id}")
 
-    def directed_edge_count(self) -> int:
-        return sum(len(nbrs) for _, nbrs in self.adjacency)
-
-
-@dataclass(frozen=True)
-class Message:
-    """One observation payload on one channel at one step."""
-
-    sender: int
-    payload: Observation
-    t: int
-
-    def __post_init__(self) -> None:
-        if self.payload.t != self.t:
-            raise ValueError(f"payload step {self.payload.t} != message step {self.t}")
-        if self.payload.agent_id != self.sender:
-            raise ValueError(
-                f"payload agent {self.payload.agent_id} != sender {self.sender}"
-            )
-
 
 def falsify(
     obs: Observation,
@@ -200,10 +180,12 @@ def transmit(
 
 
 def address(
-    payloads: dict[int, Observation], graph: CommGraph, t: int
-) -> dict[int, tuple[Message, ...]]:
-    """Fan payloads out over the directed edges: receiver id -> inbox."""
+    payloads: dict[int, Observation], graph: CommGraph
+) -> dict[int, tuple[Observation, ...]]:
+    """Fan payloads out over the directed edges: receiver id -> inbox, the
+    payloads of its neighbours in neighbour order. A payload's sender is
+    its ``agent_id``."""
     return {
-        receiver: tuple(Message(sender, payloads[sender], t) for sender in nbrs)
+        receiver: tuple(payloads[sender] for sender in nbrs)
         for receiver, nbrs in graph.adjacency
     }

@@ -67,6 +67,8 @@ class ScenarioConfig:
             )
         if not self.seeds:
             raise ConfigError("episode.seeds must name at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seed in episode.seeds: {list(self.seeds)}")
         if not 0.0 <= self.tau <= 1.0:
             raise ConfigError(f"defense.tau must lie in [0, 1], got {self.tau}")
         if self.s <= 0.0:

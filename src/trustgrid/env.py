@@ -69,11 +69,6 @@ class GridState:
             and np.array_equal(self.covered, other.covered)
         )
 
-    def copy(self) -> "GridState":
-        return GridState(
-            self.width, self.height, self.covered.copy(), dict(self.positions), self.t
-        )
-
 
 @dataclass(eq=False)
 class Observation:

@@ -20,7 +20,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .comms import RANDOM_FALSIFICATIONS, FalsificationStrategy, Message, Role, address, transmit
+from .comms import RANDOM_FALSIFICATIONS, FalsificationStrategy, Role, address, transmit
 from .config import ScenarioConfig
 from .env import (
     CELL_COVERED,
@@ -85,7 +85,7 @@ def _mean_timeline(timelines: list[tuple[float, ...]]) -> tuple[float, ...]:
     return tuple(sum(tl[k] for tl in timelines) / n for k in range(len(timelines[0])))
 
 
-def merge_observation(own: Observation, msgs: tuple[Message, ...]) -> Observation:
+def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Observation:
     """Overlay peers' claimed coverage onto the agent's own window.
 
     Claims are unioned: a cell the agent sees as uncovered flips to covered
@@ -93,14 +93,13 @@ def merge_observation(own: Observation, msgs: tuple[Message, ...]) -> Observatio
     window, and claims about them, are ignored. Returns ``own`` unchanged
     (same object) when no claim lands.
     """
-    if not msgs:
+    if not claims:
         return own
     size = own.local_map.shape[0]
     x, y = own.position
     left, top = x - own.radius, y - own.radius
     claimed = np.zeros((size, size), dtype=bool)
-    for msg in msgs:
-        payload = msg.payload
+    for payload in claims:
         span = payload.local_map.shape[0]
         px, py = payload.position
         # the payload's corner in own-window coordinates, then the
@@ -152,13 +151,13 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     steps: list[StepLog] = []
     moved = True
     actions: dict[int, Action] = {}
-    kept: dict[int, tuple[Message, ...]] = {}  # cooperative agent -> inbox it acted on
+    kept: dict[int, tuple[Observation, ...]] = {}  # cooperative agent -> inbox it acted on
     for _ in range(cfg.steps):
         fresh = moved or redraws
         if fresh:
             views = {i: observe(state, i, radius) for i in ids}
             payloads = transmit(views, roster, comms_rng, (cfg.width, cfg.height))
-            inboxes = address(payloads, cfg.topology, state.t)
+            inboxes = address(payloads, cfg.topology)
         previous = actions
         actions = dict(previous)
         for i in ids:

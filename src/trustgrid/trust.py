@@ -15,7 +15,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .comms import Message
 from .env import Observation
 from .policies import (
     Action,
@@ -124,7 +123,8 @@ def kl_score(
     Compares the softmax distribution on the claimed observation against the
     same distribution with the probabilities of the canonical and observed
     actions swapped; only those two actions contribute. Exactly 0.0 when the
-    observed action is the canonical one or ties it in probability.
+    observed action is the canonical one or ties it in probability, and
+    infinite when the observed action's probability underflows to 0.0.
     """
     if oracle is None:
         oracle = ValueOracleConfig()
@@ -136,6 +136,8 @@ def kl_score(
     p_obs = dist[observed]
     if p_canon == p_obs:
         return 0.0
+    if p_obs == 0.0:
+        return math.inf
     return (p_canon - p_obs) * math.log(p_canon / p_obs)
 
 
@@ -258,32 +260,33 @@ def step_trust_all(
 
 def gate_messages(
     ts: TrustState,
-    msgs: tuple[Message, ...],
+    inbox: tuple[Observation, ...],
     tau: float = DEFAULT_TAU,
     mode: GatingMode = GatingMode.THRESHOLD,
     rng: random.Random | None = None,
-) -> tuple[Message, ...]:
-    """Drop messages from senders the owner does not trust.
+) -> tuple[Observation, ...]:
+    """Drop payloads from senders the owner does not trust.
 
-    Threshold mode keeps a message iff the sender's belief is at least tau,
+    Threshold mode keeps a payload iff its sender's belief is at least tau,
     so tau = 0 disables gating. Bernoulli mode keeps it with probability
-    equal to the belief, drawing one uniform per message in inbox order.
+    equal to the belief, drawing one uniform per payload in inbox order.
     Dropped senders simply contribute nothing; the owner proceeds on fewer
-    messages.
+    payloads.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
     if mode is GatingMode.BERNOULLI and rng is None:
         raise ValueError("bernoulli gating requires an rng")
-    kept: list[Message] = []
-    for msg in msgs:
-        if msg.sender not in ts.beliefs:
-            raise KeyError(f"agent {ts.owner} has no belief entry for {msg.sender}")
-        belief = ts.beliefs[msg.sender]
+    kept: list[Observation] = []
+    for payload in inbox:
+        sender = payload.agent_id
+        if sender not in ts.beliefs:
+            raise KeyError(f"agent {ts.owner} has no belief entry for {sender}")
+        belief = ts.beliefs[sender]
         if mode is GatingMode.THRESHOLD:
             keep = belief >= tau
         else:
             keep = rng.random() < belief
         if keep:
-            kept.append(msg)
+            kept.append(payload)
     return tuple(kept)

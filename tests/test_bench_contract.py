@@ -7,12 +7,18 @@ count stays 0, leaves a per-layer metric out of the traced benchmark
 result. This test installs the tracer as the benchmark's worker does and
 runs one seed of every shipped arm through the same entry points, so a
 refactor that renames, removes or bypasses a traced call site fails here.
+The benchmark's oracle microbench builds ``Observation``s and
+``ValueOracleConfig``s itself and checks the oracle's value bits against
+recorded fixtures; it is run here too, from the unedited worker script.
 """
 
 from __future__ import annotations
 
+import glob
 import importlib.util
+import json
 import os
+import time
 from dataclasses import replace
 
 import pytest
@@ -32,9 +38,9 @@ MODULES = {
 }
 
 
-def load_tracing():
+def load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py")
+        f"perfbench_{name}", os.path.join(ROOT, "perfbench", f"{name}.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -43,7 +49,7 @@ def load_tracing():
 
 @pytest.fixture
 def tracer(monkeypatch):
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     # the tracer patches call sites in place; registering each one with
     # monkeypatch first puts every original back afterwards
     for sites, _ in tracing.SPANS.values():
@@ -74,3 +80,17 @@ def test_every_traced_span_is_installed_and_called(tmp_path, tracer):
     assert tracer.counts["messages"] > 0
     assert tracer.counts["agent_steps"] == agent_steps
     assert callable(policies._value_table.cache_info)
+
+
+@pytest.mark.parametrize(
+    "fixture_path",
+    sorted(glob.glob(os.path.join(ROOT, "perfbench", "fixtures", "*.json"))),
+    ids=os.path.basename,
+)
+def test_oracle_microbench_reproduces_the_recorded_values(fixture_path):
+    worker = load_perfbench("worker")
+    with open(fixture_path) as fh:
+        fixture = json.load(fh)
+    result = worker.oracle_microbench(env, policies, fixture, time.perf_counter)
+    assert result["values_ok"]
+    assert result["windows"] == len(fixture["windows"])

@@ -93,8 +93,9 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "[grid]\nwidth = 1\n",
         "[roster]\nstarts = 1,1; 1,1; 2,2; 3,3\n",
         "[oracle]\nhorizon = 0\n",
+        "[episode]\nseeds = 1,1\n",
     ],
-    ids=["narrow_grid", "shared_start", "zero_horizon"],
+    ids=["narrow_grid", "shared_start", "zero_horizon", "duplicate_seeds"],
 )
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, body):
     code = main(
@@ -185,6 +186,16 @@ def test_engine_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch, error)
     assert err.startswith("error: ") and "engine fault" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "default.csv").exists()
+
+
+def test_kl_mode_with_an_underflowing_softmax_runs(tmp_path, capsys):
+    # at this temperature a non-greedy action's probability is 0.0, so its
+    # surprise is infinite and the sender is judged inconsistent
+    body = BASE + "[defense]\nconsistency = kl\nkl_threshold = 0.1\ntemperature = 0.001\n"
+    out = tmp_path / "artifacts"
+    assert main(["--config", write(tmp_path, body), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert seeds_in(out / "default.csv") == [0, 1, 2]
 
 
 def test_module_form_runs_the_cli():

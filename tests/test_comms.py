@@ -11,7 +11,6 @@ from trustgrid.comms import (
     AgentSpec,
     CommGraph,
     FalsificationStrategy,
-    Message,
     Role,
     address,
     falsify,
@@ -57,7 +56,7 @@ def views_of(state, radius):
 def test_complete_graph_counts_and_neighbors():
     graph = CommGraph.complete([0, 1, 2, 3])
     assert graph.agents() == (0, 1, 2, 3)
-    assert graph.directed_edge_count() == 12
+    assert sum(len(nbrs) for _, nbrs in graph.adjacency) == 12
     assert graph.neighbors(2) == (0, 1, 3)
     with pytest.raises(KeyError):
         graph.neighbors(9)
@@ -79,16 +78,6 @@ def test_graph_rejects_bad_edges():
         CommGraph(adjacency=((0, (1,)), (1, ())))  # asymmetric
     with pytest.raises(ValueError):
         CommGraph(adjacency=((0, (0,)),))  # self-edge
-
-
-def test_message_invariants():
-    obs = window_obs([[CELL_COVERED] * 3 for _ in range(3)], agent_id=1, t=4)
-    msg = Message(sender=1, payload=obs, t=4)
-    assert msg.payload is obs
-    with pytest.raises(ValueError):
-        Message(sender=2, payload=obs, t=4)
-    with pytest.raises(ValueError):
-        Message(sender=1, payload=obs, t=5)
 
 
 def test_falsify_truthful_is_identity():
@@ -206,15 +195,15 @@ def test_broadcast_counts_and_truthful_payloads():
         i: Observation(v.agent_id, v.position, v.local_map.copy(), v.t)
         for i, v in views.items()
     }
-    inboxes = address(transmit(views, roster, random.Random(0), (8, 8)), graph, state.t)
+    inboxes = address(transmit(views, roster, random.Random(0), (8, 8)), graph)
     assert views == before  # never mutates
-    assert sum(len(v) for v in inboxes.values()) == graph.directed_edge_count()
-    for receiver, msgs in inboxes.items():
-        assert [m.sender for m in msgs] == [i for i in roster if i != receiver]
-        for msg in msgs:
-            truth = observe(state, msg.sender, 2)
-            assert msg.payload == truth
-            assert msg.t == state.t
+    assert sum(len(v) for v in inboxes.values()) == 12
+    for receiver, inbox in inboxes.items():
+        assert [p.agent_id for p in inbox] == [i for i in roster if i != receiver]
+        for payload in inbox:
+            truth = observe(state, payload.agent_id, 2)
+            assert payload == truth
+            assert payload.t == state.t
 
 
 def test_broadcast_applies_adversary_strategy():
@@ -227,8 +216,8 @@ def test_broadcast_applies_adversary_strategy():
     state = fresh_state(roster_specs)
     graph = CommGraph.complete(list(roster))
     payloads = transmit(views_of(state, radius=2), roster, random.Random(0), (8, 8))
-    inboxes = address(payloads, graph, state.t)
-    lie = inboxes[1][0].payload
+    inboxes = address(payloads, graph)
+    lie = inboxes[1][0]
     truth = observe(state, 0, 2)
     flipped = lie.local_map[truth.local_map == CELL_UNCOVERED]
     assert (flipped == CELL_COVERED).all()
@@ -241,7 +230,7 @@ def test_address_routes_by_topology():
     state = fresh_state(roster_specs)
     payloads = transmit(views_of(state, radius=1), roster, random.Random(0), (8, 8))
     graph = CommGraph.from_edges([0, 1, 2], [(0, 1)])
-    inboxes = address(payloads, graph, state.t)
-    assert [m.sender for m in inboxes[0]] == [1]
-    assert [m.sender for m in inboxes[1]] == [0]
+    inboxes = address(payloads, graph)
+    assert [p.agent_id for p in inboxes[0]] == [1]
+    assert [p.agent_id for p in inboxes[1]] == [0]
     assert inboxes[2] == ()

