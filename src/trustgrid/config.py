@@ -9,6 +9,7 @@ single scenario called "default".
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -174,9 +175,12 @@ def _to_int(key: str, raw: str) -> int:
 
 def _to_float(key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {raw!r}")
+    return value
 
 
 def _to_enum(key: str, raw: str):

@@ -15,7 +15,7 @@ import os
 import random
 import statistics
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TextIO
 
 import numpy as np
@@ -127,13 +127,13 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     step's payloads and actions so the verdicts shape the next step's
     gating. Trust is monitored in every mode; only gating is mode-dependent.
 
-    A stage is recomputed only when its inputs changed. After a step that
-    moved no agent, when no sender's falsification draws randomness, the
-    views, payloads and inboxes are last step's; a cooperative agent whose
-    gated inbox keeps the same senders keeps its action, a self-interested
-    agent keeps its action, and a sender whose action is unchanged keeps
-    its verdict. Gating, the environment step, the trust update and
-    classification run every step.
+    The episode freezes after a step at which no agent moved, when no
+    sender's falsification draws randomness, every logged belief is 1.0
+    for a consistent verdict and 0.0 for an inconsistent one, and the
+    beliefs equal those that gated the step. No later step can then change
+    a view, payload, gated inbox, action, verdict or belief, so each later
+    step only advances the environment and repeats the frozen step's log
+    under its own step number and rewards.
     """
     cfg.validate()
     state = reset(cfg, seed)
@@ -149,62 +149,56 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     redraws = any(spec.falsification in RANDOM_FALSIFICATIONS for spec in cfg.roster)
 
     steps: list[StepLog] = []
-    moved = True
-    actions: dict[int, Action] = {}
-    kept: dict[int, tuple[Observation, ...]] = {}  # cooperative agent -> inbox it acted on
+    frozen = False
     for _ in range(cfg.steps):
-        fresh = moved or redraws
-        if fresh:
-            views = {i: observe(state, i, radius) for i in ids}
-            payloads = transmit(views, roster, comms_rng, (cfg.width, cfg.height))
-            inboxes = address(payloads, cfg.topology)
-        previous = actions
-        actions = dict(previous)
+        if frozen:
+            state, rewards = step(state, actions)
+            steps.append(replace(steps[-1], step=state.t, rewards=rewards))
+            continue
+        views = {i: observe(state, i, radius) for i in ids}
+        payloads = transmit(views, roster, comms_rng, (cfg.width, cfg.height))
+        inboxes = address(payloads, cfg.topology)
+        actions: dict[int, Action] = {}
         for i in ids:
             spec = roster[i]
             if spec.role is Role.SELF_INTERESTED:
-                if fresh:
-                    basis = (
-                        payloads[i]
-                        if spec.acting is AdversaryStrategy.CONSISTENT_LIAR
-                        else views[i]
-                    )
-                    actions[i] = greedy_action(basis, cfg.oracle)
+                basis = (
+                    payloads[i]
+                    if spec.acting is AdversaryStrategy.CONSISTENT_LIAR
+                    else views[i]
+                )
+                actions[i] = greedy_action(basis, cfg.oracle)
                 continue
             inbox = inboxes[i]
             if gating:
                 inbox = gate_messages(trust_states[i], inbox, cfg.tau, cfg.gating, gate_rng)
-            if fresh or inbox != kept[i]:
-                kept[i] = inbox
-                merged = merge_observation(views[i], inbox)
-                actions[i] = greedy_action(merged, cfg.oracle)
+            actions[i] = greedy_action(merge_observation(views[i], inbox), cfg.oracle)
         positions = state.positions
         state, rewards = step(state, actions)
-        moved = state.positions != positions
-        # last step's verdicts, for senders whose payload and action both stayed
-        known = (
-            {}
-            if fresh
-            else {j: v for (_, j), v in verdict_map.items() if actions[j] == previous[j]}
-        )
         verdict_map = step_trust_all(
-            trust_states, payloads, heard, actions, cfg.consistency, cfg.oracle, known
+            trust_states, payloads, heard, actions, cfg.consistency, cfg.oracle
         )
-        confusion = classify_step(trust_states, roles, cfg.tau, heard)
+        beliefs = {
+            (obs, peer): trust_states[obs].beliefs[peer]
+            for obs in ids
+            for peer in heard[obs]
+        }
+        verdicts = {pair: verdict.consistent for pair, verdict in verdict_map.items()}
+        frozen = (
+            state.positions == positions
+            and not redraws
+            and all(beliefs[pair] == float(v) for pair, v in verdicts.items())
+            and bool(steps)
+            and beliefs == steps[-1].beliefs
+        )
         steps.append(
             StepLog(
                 step=state.t,
                 coverage=coverage_fraction(state),
                 rewards=rewards,
-                beliefs={
-                    (obs, peer): trust_states[obs].beliefs[peer]
-                    for obs in ids
-                    for peer in heard[obs]
-                },
-                verdicts={
-                    pair: verdict.consistent for pair, verdict in verdict_map.items()
-                },
-                confusion=confusion,
+                beliefs=beliefs,
+                verdicts=verdicts,
+                confusion=classify_step(trust_states, roles, cfg.tau, heard),
             )
         )
     return EpisodeRun(seed=seed, steps=steps, summary=summarize(steps, roles))

@@ -21,14 +21,6 @@ class ConfusionCounts:
     fp: int = 0  # distrusted cooperative
     fn: int = 0  # trusted adversary
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(
-            self.tp + other.tp,
-            self.tn + other.tn,
-            self.fp + other.fp,
-            self.fn + other.fn,
-        )
-
     def total(self) -> int:
         return self.tp + self.tn + self.fp + self.fn
 

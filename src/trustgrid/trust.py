@@ -219,7 +219,6 @@ def step_trust_all(
     observed_actions: dict[int, Action],
     cfg: ConsistencyConfig,
     oracle: ValueOracleConfig,
-    known: dict[int, Verdict] | None = None,
 ) -> dict[tuple[int, int], Verdict]:
     """One reevaluation round over every observer after an environment step.
 
@@ -231,21 +230,14 @@ def step_trust_all(
     the message, so beliefs can keep moving for gated senders. Each
     observer advances its step counter exactly once; with no message there
     is no verdict and no belief change for that pair.
-
-    ``known`` holds verdicts already reached on a sender's same payload and
-    action, such as last step's when neither changed; those senders are
-    not judged again.
     """
     judged: dict[int, Verdict] = {}
     for sender in {j for i in states for j in heard.get(i, ())}:
         if sender not in observed_actions:
             raise KeyError(f"no observed action for message sender {sender}")
-        if known and sender in known:
-            judged[sender] = known[sender]
-        else:
-            judged[sender] = consistency_check(
-                oracle, payloads[sender], observed_actions[sender], cfg
-            )
+        judged[sender] = consistency_check(
+            oracle, payloads[sender], observed_actions[sender], cfg
+        )
     verdicts: dict[tuple[int, int], Verdict] = {}
     for observer in sorted(states):
         ts = states[observer]

@@ -292,10 +292,10 @@ def record_material_lies(monkeypatch, cfg):
     differently than on the sender's true window. This is ground truth
     taken from the world, not from any observer's verdict. Wraps the
     harness's ``transmit``, which judges each payload it makes, and its
-    ``step``, which appends the latest judgement once per step: after a
-    step that moved no agent the harness reuses last step's truthful views
-    and payloads without calling ``transmit``, so those steps carry the
-    last recorded set forward. Returns the list it fills: one set of
+    ``step``, which appends the latest judgement once per step: once an
+    episode freezes, its views and payloads no longer change and the
+    harness no longer calls ``transmit``, so those steps carry the last
+    recorded set forward. Returns the list it fills: one set of
     senders per step, in the order ``run_scenario(cfg)`` runs them.
     """
     liars = [i for i, role in cfg.roles().items() if role is Role.SELF_INTERESTED]

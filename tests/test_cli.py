@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import trustgrid
 from trustgrid.cli import main
@@ -94,18 +99,33 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "[roster]\nstarts = 1,1; 1,1; 2,2; 3,3\n",
         "[oracle]\nhorizon = 0\n",
         "[episode]\nseeds = 1,1\n",
+        "[defense]\ns = nan\n",
+        "[defense]\ns = inf\n",
+        "[defense]\nconsistency = value_threshold\nrho = nan\n",
+        "[defense]\nconsistency = kl\nkl_threshold = nan\n",
+        "[defense]\nconsistency = kl\nkl_threshold = 0.1\ntemperature = nan\n",
+        "[defense]\nconsistency = kl\nkl_threshold = 0.1\ntemperature = inf\n",
     ],
-    ids=["narrow_grid", "shared_start", "zero_horizon", "duplicate_seeds"],
+    ids=[
+        "narrow_grid",
+        "shared_start",
+        "zero_horizon",
+        "duplicate_seeds",
+        "nan_s",
+        "inf_s",
+        "nan_rho",
+        "nan_kl_threshold",
+        "nan_temperature",
+        "inf_temperature",
+    ],
 )
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, body):
-    code = main(
-        [
-            "--config", write(tmp_path, body),
-            "--out", str(tmp_path / "x"),
-        ]
-    )
+    out = tmp_path / "x"
+    code = main(["--config", write(tmp_path, body), "--out", str(out)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path):
@@ -196,6 +216,86 @@ def test_kl_mode_with_an_underflowing_softmax_runs(tmp_path, capsys):
     assert main(["--config", write(tmp_path, body), "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert seeds_in(out / "default.csv") == [0, 1, 2]
+
+
+# README's keys: (valid values, malformed values). The run-size keys are
+# always set and kept small: steps <= 5, horizon <= 3, at most 3 seeds.
+ALWAYS_SET = {
+    "grid.width": (["2", "3", "5"], ["1", "0", "-3", "2.5", "x", "nan"]),
+    "grid.height": (["2", "4"], ["1", "-1", ""]),
+    "episode.steps": (["2", "5"], ["1", "0", "-1", "x"]),
+    "episode.seeds": (["0", "0:3", "0,4"], ["2:0", "3:3", "1,1", "", "a:b", "1:x"]),
+    "oracle.horizon": (["1", "3"], ["0", "-1", "x"]),
+}
+MAYBE_SET = {
+    "oracle.gamma": (["0", "0.9", "1"], ["1.5", "-0.1", "nan", "inf"]),
+    "oracle.radius": (["1", "2"], ["0", "-1"]),
+    "defense.mode": (["nodef", "adv_nodef", "tom", "ideal_coop"], ["bogus"]),
+    "defense.consistency": (["exact_match", "value_threshold", "kl"], ["bogus"]),
+    "defense.rho": (["0", "0.3"], ["-1", "nan", "inf", "-inf"]),
+    "defense.kl_threshold": (["", "0.05"], ["-1", "nan", "inf"]),
+    "defense.temperature": (["1", "0.001"], ["0", "-1", "nan", "inf"]),
+    "defense.s": (["3.7", "1e-16", "50", "1e308"], ["0", "-1", "nan", "inf"]),
+    "defense.tau": (["0", "0.5", "1"], ["1.5", "-0.1", "nan"]),
+    "defense.gating": (["threshold", "bernoulli"], ["bogus"]),
+    "comms.topology": (["complete", "edges"], ["bogus"]),
+    "comms.edges": (
+        ["", "0-1, 1-2", "1-2, 1-3, 2-3"],
+        ["0-0", "0-9", "a-b", "0-1-2", "0-1, 0-1"],
+    ),
+    "roster.agents": (["2", "3", "4"], ["1", "0", "-1", "40"]),
+    "roster.adversaries": (["0", "1", "2"], ["5", "-1"]),
+    "roster.falsification": (["truthful", "lure", "position_spoof", "babble"], ["bogus"]),
+    "roster.acting": (["naive", "consistent_liar"], ["bogus"]),
+    "roster.starts": (
+        ["", "0,0; 1,1", "0,0; 1,0; 0,1; 1,1"],
+        ["0,0; 0,0; 1,1; 2,2", "9,9; 0,0; 1,0; 0,1", "x", "0,0,0"],
+    ),
+}
+
+
+@st.composite
+def config_bodies(draw):
+    """An INI body with valid values, a few of them replaced by malformed
+    ones. Values that are valid alone may still clash, such as more
+    adversaries than agents, or edges that name no agent."""
+    keys = list(ALWAYS_SET) + draw(
+        st.lists(st.sampled_from(sorted(MAYBE_SET)), unique=True, max_size=len(MAYBE_SET))
+    )
+    pools = {**ALWAYS_SET, **MAYBE_SET}
+    bad = draw(st.sets(st.sampled_from(keys), max_size=2))
+    sections: dict[str, list[str]] = {}
+    for dotted in keys:
+        valid, malformed = pools[dotted]
+        value = draw(st.sampled_from(malformed if dotted in bad else valid))
+        section, key = dotted.split(".")
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items())
+
+
+def refuse_constant(name):
+    raise ValueError(f"non-finite number {name} in the JSON summary")
+
+
+@settings(deadline=None, max_examples=300)
+@given(body=config_bodies())
+def test_any_config_exits_2_with_one_error_line_or_writes_finite_json(body):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.ini")
+        with open(path, "w") as fh:
+            fh.write(body)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--config", path, "--out", out])
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+            assert not os.path.exists(out)
+        else:
+            assert code == 0, err.getvalue()
+            with open(os.path.join(out, "default.json")) as fh:
+                json.loads(fh.read(), parse_constant=refuse_constant)
 
 
 def test_module_form_runs_the_cli():

@@ -6,12 +6,13 @@ import json
 import random
 import textwrap
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from trustgrid import harness, trust
-from trustgrid.comms import Role, falsify, transmit
+from trustgrid.comms import FalsificationStrategy, Role, falsify, transmit
 from trustgrid.config import ConfigError, load_scenarios, parse_config
 from trustgrid.env import (
     CELL_COVERED,
@@ -218,14 +219,36 @@ def record_steps(monkeypatch):
     return log
 
 
-def recomputed(log):
-    """Per logged step, whether its views must be recomputed when no
-    sender's falsification draws randomness: the first step of an episode
-    and every step after one that moved an agent."""
+def fixed_points(log, ep):
+    """Per step of one episode: whether it moved no agent, logged every
+    belief as 1.0 for a consistent verdict and 0.0 for an inconsistent one,
+    and logged the same beliefs as the step before, the ones that gated
+    it. ``log`` is the episode's part of a ``record_steps`` log."""
     return [
-        before.t == 0 or log[k - 1][0].positions != log[k - 1][1].positions
-        for k, (before, _, _) in enumerate(log)
+        k > 0
+        and before.positions == after.positions
+        and all(entry.beliefs[pair] == float(v) for pair, v in entry.verdicts.items())
+        and entry.beliefs == ep.steps[k - 1].beliefs
+        for k, ((before, after, _), entry) in enumerate(zip(log, ep.steps))
     ]
+
+
+def simulated_steps(log, ep):
+    """How many of an episode's steps are simulated in full when no
+    sender's falsification draws randomness: every step up to and
+    including its first fixed point. The episode is frozen after that."""
+    points = fixed_points(log, ep)
+    return points.index(True) + 1 if True in points else len(points)
+
+
+def episode_logs(log):
+    """Splits a ``record_steps`` log of a whole run into its episodes."""
+    out = []
+    for entry in log:
+        if entry[0].t == 0:
+            out.append([])
+        out[-1].append(entry)
+    return out
 
 
 @pytest.mark.parametrize(
@@ -236,43 +259,38 @@ def recomputed(log):
 def test_each_step_observes_each_agent_and_judges_each_heard_sender_once(
     tmp_path, monkeypatch, edges, heard_senders
 ):
-    """Every agent is observed once on each step that recomputes views and
-    not at all on a step that reuses them. Each heard sender is judged once
-    on a recomputed step; on a reused step only a sender whose action
-    differs from last step's is judged again."""
+    """Every agent is observed once on each simulated step and never after
+    the episode freezes. Each heard sender is judged once per simulated
+    step."""
     topology = "edges" if edges else "complete"
     cfg = config_from(
         tmp_path,
         SMALL_RUN + f"[comms]\ntopology = {topology}\nedges = {edges}\n",
     )
-    calls = {"observe": 0, "consistency_check": 0}
+    observed = []  # the step count of the state each call observes
+    judged = 0
+    check = trust.consistency_check
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def recording_observe(state, agent_id, radius):
+        observed.append(state.t)
+        return observe(state, agent_id, radius)
 
-        return wrapper
+    def counted_check(*args):
+        nonlocal judged
+        judged += 1
+        return check(*args)
 
-    monkeypatch.setattr(harness, "observe", counted("observe", harness.observe))
-    monkeypatch.setattr(
-        trust, "consistency_check", counted("consistency_check", trust.consistency_check)
-    )
+    monkeypatch.setattr(harness, "observe", recording_observe)
+    monkeypatch.setattr(trust, "consistency_check", counted_check)
     log = record_steps(monkeypatch)
-    run_episode(cfg, cfg.seeds[0])
-    fresh = recomputed(log)
-    assert len(fresh) == cfg.steps
-    assert 0 < sum(fresh) < cfg.steps  # both kinds of step occur
-    assert calls["observe"] == len(cfg.roster) * sum(fresh)
+    ep = run_episode(cfg, cfg.seeds[0])
+    assert len(log) == cfg.steps
+    simulated = simulated_steps(log, ep)
+    assert 0 < simulated < cfg.steps  # the episode freezes part-way
+    assert observed == [t for t in range(simulated) for _ in cfg.roster]
     senders = {j for i in cfg.agent_ids() for j in cfg.topology.neighbors(i)}
     assert len(senders) == heard_senders
-    rejudged = sum(
-        log[k][2][j] != log[k - 1][2][j]
-        for k in range(1, cfg.steps)
-        if not fresh[k]
-        for j in senders
-    )
-    assert calls["consistency_check"] == heard_senders * sum(fresh) + rejudged
+    assert judged == heard_senders * simulated
 
 
 LIAR_RUN = """
@@ -302,31 +320,37 @@ def record_adversary(monkeypatch):
     return sent, record_steps(monkeypatch)
 
 
-def adversary_steps(recording, radius):
+def adversary_steps(recording, artifact):
     """Per step, agent 0's (truthful view, payload, action). ``transmit``
-    runs exactly on the steps that recompute views; the others reuse the
-    last view and payload, which must still show the world as it is."""
+    runs on each episode's simulated steps only. A frozen step repeats the
+    last simulated step's action, view and payload, and that view must
+    still show the world the step acts on."""
     sent, log = recording
-    fresh = recomputed(log)
-    assert len(sent) == sum(fresh)
-    assert sum(fresh) < len(log)  # some steps reuse
+    radius = artifact.config.oracle.radius
     out = []
-    k = -1
-    for (before, _, actions), new in zip(log, fresh):
-        k += new
-        view, payload = sent[k]
-        truth = observe(before, 0, radius)
-        assert view.position == truth.position
-        assert np.array_equal(view.local_map, truth.local_map)
-        out.append((view, payload, actions[0]))
+    transmits = frozen = 0
+    for ep, ep_log in zip(artifact.episodes, episode_logs(log), strict=True):
+        simulated = simulated_steps(ep_log, ep)
+        frozen += len(ep_log) - simulated
+        for k, (before, _, actions) in enumerate(ep_log):
+            if k < simulated:
+                view, payload = sent[transmits + k]
+            else:
+                assert actions[0] == ep_log[simulated - 1][2][0]
+            truth = observe(before, 0, radius)
+            assert view.position == truth.position
+            assert np.array_equal(view.local_map, truth.local_map)
+            out.append((view, payload, actions[0]))
+        transmits += simulated
+    assert transmits == len(sent)
+    assert frozen > 0  # some steps are fast-forwarded
     return out
 
 
 def test_naive_adversary_acts_greedily_on_its_view(tmp_path, monkeypatch):
     cfg = config_from(tmp_path, LIAR_RUN)  # agent 0: naive, lure payloads
     recording = record_adversary(monkeypatch)
-    run_scenario(cfg)
-    record = adversary_steps(recording, cfg.oracle.radius)
+    record = adversary_steps(recording, run_scenario(cfg))
     assert len(record) == 2 * 20
     for view, _, action in record:
         assert action == greedy_action(view, cfg.oracle)
@@ -336,8 +360,7 @@ def test_naive_adversary_acts_greedily_on_its_view(tmp_path, monkeypatch):
 def test_consistent_liar_acts_greedily_on_its_lie(tmp_path, monkeypatch):
     cfg = config_from(tmp_path, LIAR_RUN + "[roster]\nacting = consistent_liar\n")
     recording = record_adversary(monkeypatch)
-    run_scenario(cfg)
-    record = adversary_steps(recording, cfg.oracle.radius)
+    record = adversary_steps(recording, run_scenario(cfg))
     assert len(record) == 2 * 20
     for _, payload, action in record:
         assert action == greedy_action(payload, cfg.oracle)
@@ -359,21 +382,18 @@ adversaries = 1
 """
 
 
-def parked_steps(log):
-    """How many logged steps follow a step of the same episode that moved
-    no agent."""
-    return len(log) - sum(recomputed(log))
-
-
-def test_a_parked_step_whose_kept_senders_change_acts_on_the_new_merge(
+def test_a_belief_that_crosses_tau_on_a_step_that_moves_nobody_changes_the_next_action(
     tmp_path, monkeypatch
 ):
     # Agent 0 lies with a lure payload that claims the one uncovered cell,
     # (2, 1), is covered. Nobody can reach another uncovered cell within
     # the one-step horizon, so everyone parks on the top row: an all-zero
-    # value table picks UP. Once gating drops agent 0's message, the
-    # agent at (2, 0) sees the cell and must step DOWN into it, although
-    # no position moved in the step before.
+    # value table picks UP. Agent 0 is judged inconsistent on every step
+    # that moves nobody, and s = 50 drops the belief in it from 1.0 to 0.0
+    # at once. That step moves nobody and leaves every belief at its
+    # verdict's value, but its beliefs are not the ones that gated it:
+    # once gating drops agent 0's message, the agent at (2, 0) sees the
+    # cell and must step DOWN into it.
     cfg = config_from(
         tmp_path,
         """
@@ -385,32 +405,88 @@ def test_a_parked_step_whose_kept_senders_change_acts_on_the_new_merge(
         seeds = 0
         [oracle]
         horizon = 1
+        [defense]
+        s = 50
         [roster]
         agents = 5
         adversaries = 1
         starts = 0,0; 1,0; 2,0; 0,1; 1,1
         """,
     )
-    drop_from = 6
     log = record_steps(monkeypatch)
+    check = trust.consistency_check
 
-    def gate_out_the_liar_late(ts, inbox, *args):
-        kept = trust.gate_messages(ts, inbox, *args)
-        if len(log) < drop_from:
-            return kept
-        return tuple(p for p in kept if p.agent_id != 0)
+    def distrust_the_liar_when_nobody_moves(oracle, payload, action, consistency):
+        verdict = check(oracle, payload, action, consistency)
+        before, after, _ = log[-1]
+        if payload.agent_id == 0 and before.positions == after.positions:
+            return trust.Verdict(False, verdict.score)
+        return verdict
 
-    monkeypatch.setattr(harness, "gate_messages", gate_out_the_liar_late)
+    monkeypatch.setattr(trust, "consistency_check", distrust_the_liar_when_nobody_moves)
     ep = run_episode(cfg, cfg.seeds[0])
-    before, after, actions = log[drop_from - 1]
-    assert before.positions == after.positions  # step drop_from reuses
-    assert ep.steps[drop_from - 1].coverage == 5 / 6
-    assert log[drop_from][2][2] is Action.DOWN
-    assert ep.steps[drop_from].coverage == 1.0
-    # agent 2's payload shows the cell uncovered, so parking was judged
-    # inconsistent and the new action, with the same payload, consistent
-    assert ep.steps[drop_from - 1].verdicts[(1, 2)] is False
-    assert ep.steps[drop_from].verdicts[(1, 2)] is True
+    crossing = 1  # the second step
+    before, after, _ = log[crossing]
+    assert before.positions == after.positions
+    assert fixed_points(log, ep)[crossing] is False
+    for observer in (1, 2, 3, 4):
+        assert ep.steps[crossing - 1].beliefs[(observer, 0)] == 1.0
+        assert ep.steps[crossing].beliefs[(observer, 0)] == 0.0
+    assert all(
+        belief == float(ep.steps[crossing].verdicts[pair])
+        for pair, belief in ep.steps[crossing].beliefs.items()
+    )
+    assert ep.steps[crossing].coverage == 5 / 6
+    assert log[crossing + 1][2][2] is Action.DOWN
+    assert ep.steps[crossing + 1].coverage == 1.0
+
+
+S_BELOW_HALF_AN_ULP = """
+[grid]
+width = 4
+height = 2
+[episode]
+steps = 30
+seeds = 624
+[oracle]
+horizon = 2
+[defense]
+s = 1e-16
+[roster]
+agents = 2
+adversaries = 1
+acting = consistent_liar
+"""
+
+
+def never_frozen():
+    """Makes the fixed point unreachable: every falsification counts as
+    drawing randomness, so every step is simulated in full."""
+    every = frozenset(FalsificationStrategy)
+    return mock.patch.object(harness, "RANDOM_FALSIFICATIONS", every)
+
+
+def test_a_saturated_belief_that_disagrees_with_its_verdict_does_not_freeze(
+    tmp_path, monkeypatch
+):
+    # With s = 1e-16, the liar's belief in agent 1 stays 1.0 under an
+    # inconsistent verdict while s * count / step is below half an ulp of
+    # 1.0, so two steps that move nobody log the same beliefs. The belief
+    # moves at the step after, so those steps are no fixed point.
+    cfg = config_from(tmp_path, S_BELOW_HALF_AN_ULP)
+    log = record_steps(monkeypatch)
+    ep = run_episode(cfg, cfg.seeds[0])
+    pair = (0, 1)
+    for k in (1, 2):
+        before, after, _ = log[k]
+        assert before.positions == after.positions
+        assert ep.steps[k].beliefs[pair] == 1.0
+        assert ep.steps[k].verdicts[pair] is False
+    assert ep.steps[2].beliefs == ep.steps[1].beliefs
+    assert ep.steps[3].beliefs[pair] < 1.0
+    with never_frozen():
+        simulated = run_episode(cfg, cfg.seeds[0])
+    assert simulated.steps == ep.steps
 
 
 @pytest.mark.parametrize("falsification", ["babble", "position_spoof"])
@@ -428,8 +504,8 @@ def test_random_falsifications_draw_every_step_in_order(
     monkeypatch.setattr(harness, "transmit", recording_transmit)
     log = record_steps(monkeypatch)
     seed = cfg.seeds[0]
-    run_episode(cfg, seed)
-    assert parked_steps(log) > 0
+    ep = run_episode(cfg, seed)
+    assert any(fixed_points(log, ep))  # only the random payloads keep it simulated
     assert len(sent) == cfg.steps
     rng = random.Random(f"comms:{seed}")
     for views, payloads in sent:
@@ -451,10 +527,11 @@ def test_bernoulli_gating_draws_once_per_message_every_step(tmp_path, monkeypatc
     monkeypatch.setattr(harness, "gate_messages", recording_gate)
     log = record_steps(monkeypatch)
     seed = cfg.seeds[0]
-    run_episode(cfg, seed)
-    assert parked_steps(log) > 0
+    ep = run_episode(cfg, seed)
+    simulated = simulated_steps(log, ep)
+    assert simulated < cfg.steps
     cooperative = sum(spec.role is Role.COOPERATIVE for spec in cfg.roster)
-    assert len(draws) == cooperative * cfg.steps
+    assert len(draws) == cooperative * simulated
     replay = random.Random(f"gate:{seed}")
     for before, n_msgs, after in draws:
         assert n_msgs == len(cfg.roster) - 1

@@ -35,10 +35,8 @@ def states_with(beliefs_by_owner):
     return states
 
 
-def test_confusion_counts_add_and_total():
+def test_confusion_counts_total():
     a = ConfusionCounts(1, 2, 3, 4)
-    b = ConfusionCounts(4, 3, 2, 1)
-    assert a + b == ConfusionCounts(5, 5, 5, 5)
     assert a.total() == 10
     assert ConfusionCounts().total() == 0
 

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustgrid.comms import CommGraph
+from trustgrid import harness
+from trustgrid.comms import CommGraph, FalsificationStrategy
 from trustgrid.config import parse_config
 from trustgrid.env import (
     CELL_COVERED,
@@ -109,33 +111,42 @@ def load_body(body: str):
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_steps=12, s=st.floats(0.1, 10.0)):
     width, height = draw(st.integers(3, 7)), draw(st.integers(3, 7))
     agents = draw(st.integers(2, 4))
+    mode = draw(st.sampled_from(["nodef", "adv_nodef", "tom", "ideal_coop"]))
+    adversaries = draw(
+        st.integers(mode == "adv_nodef", 0 if mode == "ideal_coop" else agents)
+    )
     consistency = draw(st.sampled_from(["exact_match", "value_threshold", "kl"]))
+    topology = draw(st.sampled_from(["complete", "edges"]))
+    chain = ", ".join(f"{i}-{i + 1}" for i in range(agents - 1))
     return load_body(
         f"""
 [grid]
 width = {width}
 height = {height}
 [episode]
-steps = {draw(st.integers(2, 12))}
+steps = {draw(st.integers(2, max_steps))}
 seeds = {draw(st.integers(0, 10_000))}
 [oracle]
 gamma = {draw(st.sampled_from([0.0, 0.5, 0.9]))}
 horizon = {draw(st.integers(1, 3))}
 radius = {draw(st.integers(1, 2))}
 [defense]
-mode = {draw(st.sampled_from(["nodef", "tom"]))}
+mode = {mode}
 consistency = {consistency}
 rho = {draw(st.sampled_from([0.0, 0.3]))}
 kl_threshold = {0.05 if consistency == "kl" else ""}
-s = {draw(st.floats(0.1, 10.0))}
+s = {draw(s)}
 tau = {draw(st.floats(0.0, 1.0))}
 gating = {draw(st.sampled_from(["threshold", "bernoulli"]))}
+[comms]
+topology = {topology}
+edges = {chain if topology == "edges" else ""}
 [roster]
 agents = {agents}
-adversaries = {draw(st.integers(0, agents))}
+adversaries = {adversaries}
 falsification = {draw(st.sampled_from(["truthful", "lure", "position_spoof", "babble"]))}
 acting = {draw(st.sampled_from(["naive", "consistent_liar"]))}
 """
@@ -154,6 +165,17 @@ def test_episode_coverage_rewards_and_beliefs(cfg):
         assert sum(entry.rewards.values()) == now - covered
         covered = now
         assert all(0.0 <= belief <= 1.0 for belief in entry.beliefs.values())
+
+
+@settings(deadline=None, max_examples=100)
+@given(cfg=scenarios(max_steps=60, s=st.sampled_from([1e-16, 3.7, 50.0])))
+def test_a_frozen_episode_logs_what_full_simulation_logs(cfg):
+    # s = 1e-16 keeps beliefs within an ulp of 1.0 for many steps, where a
+    # step can repeat its beliefs without having reached a fixed point
+    ep = run_episode(cfg, cfg.seeds[0])
+    with mock.patch.object(harness, "RANDOM_FALSIFICATIONS", frozenset(FalsificationStrategy)):
+        simulated = run_episode(cfg, cfg.seeds[0])
+    assert simulated.steps == ep.steps
 
 
 @settings(deadline=None, max_examples=200)
