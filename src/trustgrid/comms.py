@@ -125,12 +125,12 @@ def falsify(
         return Observation(obs.agent_id, obs.position, faked, obs.t)
 
     if strategy is FalsificationStrategy.BABBLE:
-        faked = window.copy()
-        size = window.shape[0]
-        for row in range(size):
-            for col in range(size):
-                if faked[row, col] != CELL_OOB:
-                    faked[row, col] = CELL_COVERED if rng.random() < 0.5 else CELL_UNCOVERED
+        # one draw per in-grid cell, in row-major order
+        babbled = bytes(
+            cell if cell == CELL_OOB else CELL_COVERED if rng.random() < 0.5 else CELL_UNCOVERED
+            for cell in window.tobytes()
+        )
+        faked = np.frombuffer(babbled, dtype=np.int8).reshape(window.shape).copy()
         return Observation(obs.agent_id, obs.position, faked, obs.t)
 
     if strategy is FalsificationStrategy.POSITION_SPOOF:

@@ -76,6 +76,12 @@ def _window_moves(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
     return tuple(moves), tuple(sum(1 << d for d in set(dests)) for dests in moves)
 
 
+# bytes.translate tables spelling a window as one binary digit per cell:
+# "1" where the cell is uncovered (or out of grid), "0" elsewhere
+_UNCOVERED_DIGITS = bytes(ord("1") if b == CELL_UNCOVERED else ord("0") for b in range(256))
+_OOB_DIGITS = bytes(ord("1") if b == CELL_OOB else ord("0") for b in range(256))
+
+
 @lru_cache(maxsize=1 << 18)
 def _value_table(
     window_bytes: bytes, size: int, gamma: float, horizon: int
@@ -91,16 +97,29 @@ def _value_table(
     otherwise, so each depth-2 child is worth one of four constants. The
     constants come from the recursion's own float expressions, so every
     value keeps its exact bits and greedy tie-breaks cannot change.
+
+    Deeper nodes are pruned against ceilings built from the same
+    expressions: ``top[0] = 0.0`` and ``top[d] = 1.0 + gamma * top[d - 1]``.
+    Rounding ``gamma * x`` (gamma >= 0) and ``1.0 + y`` is monotone, so by
+    induction no node with ``d`` moves left is worth more than ``top[d]``.
+    A node stops scanning its moves once its value equals ``top[d]``, and
+    skips a move that collects nothing once its value is at least
+    ``gamma * top[d - 1]``: neither move could pass ``v > out``. The
+    result is the plain recursion's value, bit for bit.
     """
     cells = window_bytes
     center = (size // 2) * size + (size // 2)
     moves, dest_bits = _window_moves(size)
     if CELL_OOB in cells:
+        # reversed so that cell idx is bit idx
+        oob = int(cells.translate(_OOB_DIGITS)[::-1], 2)
         moves = [
             tuple(idx if cells[dest] == CELL_OOB else dest for dest in dests)
-            for idx, dests in enumerate(moves)
+            if bits & oob
+            else dests
+            for idx, (dests, bits) in enumerate(zip(moves, dest_bits))
         ]
-    uncovered = sum(1 << idx for idx, cell in enumerate(cells) if cell == CELL_UNCOVERED)
+    uncovered = int(cells.translate(_UNCOVERED_DIGITS)[::-1], 2)
     # uncovered cells one move away; out-of-grid cells are never uncovered
     near = [uncovered & bits for bits in dest_bits]
 
@@ -111,6 +130,9 @@ def _value_table(
         gamma * depth1[0],
         gamma * depth1[1],
     )
+    top = [0.0]  # top[d]: no node with d moves left is worth more
+    for _ in range(horizon):
+        top.append(1.0 + gamma * top[-1])
 
     def best2(idx: int, mask: int, depth: int = 2) -> float:
         """Value with two moves left; ``depth`` lets it stand in for ``best``."""
@@ -130,21 +152,26 @@ def _value_table(
     memo: dict[tuple[int, int, int], float] = {}
 
     def best(idx: int, mask: int, depth: int) -> float:
-        """Value with ``depth`` >= 3 moves left, memoised."""
+        """Value with ``depth`` >= 3 moves left, memoised and pruned."""
         key = (idx, mask, depth)
         cached = memo.get(key)
         if cached is not None:
             return cached
         child = best if depth > 3 else best2
+        ceiling, idle_ceiling = top[depth], gamma * top[depth - 1]
         out = 0.0
         for dest in moves[idx]:
             bit = 1 << dest
             if cells[dest] == CELL_UNCOVERED and not mask & bit:
                 v = 1.0 + gamma * child(dest, mask | bit, depth - 1)
+            elif out >= idle_ceiling:
+                continue
             else:
                 v = gamma * child(dest, mask, depth - 1)
             if v > out:
                 out = v
+                if out == ceiling:
+                    break
         memo[key] = out
         return out
 

@@ -3,10 +3,10 @@
 Everything here recomputes a library quantity by a different method:
 action values by brute-force enumeration of whole action sequences and by
 a plain recursive DP with the library's float operations (the bit-exact
-reference), belief
-trajectories by a literal replay of the update arithmetic, and KL surprise
-scores via the full five-term divergence sum. Nothing imports from
-trustgrid, so agreement is evidence rather than tautology.
+reference), belief trajectories by a literal replay of the update
+arithmetic, and KL surprise scores via the full five-term divergence sum.
+Nothing imports from trustgrid, so agreement is evidence rather than
+tautology.
 """
 
 from __future__ import annotations

@@ -126,6 +126,34 @@ def test_falsify_babble_is_seeded_and_preserves_structure():
     assert set(one.local_map[1:].flatten()) <= {CELL_COVERED, CELL_UNCOVERED}
 
 
+def test_falsify_babble_draws_once_per_in_grid_cell_in_row_major_order():
+    picker = random.Random(3)
+    for radius in (1, 2, 4):
+        size = 2 * radius + 1
+        for seed in range(20):
+            rows = [
+                [picker.choice((CELL_UNCOVERED, CELL_COVERED, CELL_OOB)) for _ in range(size)]
+                for _ in range(size)
+            ]
+            obs = window_obs(rows, position=(radius, radius))
+            rng = random.Random(seed)
+            out = falsify(obs, FalsificationStrategy.BABBLE, rng, (8, 8)).local_map
+            assert out.dtype == np.int8 and out.shape == (size, size)
+            replay = random.Random(seed)
+            for r in range(size):
+                for c in range(size):
+                    if rows[r][c] == CELL_OOB:
+                        assert out[r, c] == CELL_OOB
+                    else:
+                        draw = replay.random()
+                        assert out[r, c] == (CELL_COVERED if draw < 0.5 else CELL_UNCOVERED)
+            in_grid = sum(cell != CELL_OOB for row in rows for cell in row)
+            fresh = random.Random(seed)
+            for _ in range(in_grid):
+                fresh.random()
+            assert rng.getstate() == fresh.getstate()
+
+
 def test_falsify_position_spoof_prefers_distant_cells():
     rows = [[CELL_COVERED] * 3 for _ in range(3)]
     obs = window_obs(rows, position=(0, 0))

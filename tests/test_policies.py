@@ -146,12 +146,14 @@ def test_values_are_deterministic_across_equal_observations():
     assert action_values(a, cfg) == action_values(b, cfg)
 
 
-def sweep_window(rng, radius, share):
-    """A window with grid-edge OOB bands along the top or bottom and the
-    left or right; every other cell, the centre included, is uncovered
-    with probability ``share``."""
+def sweep_window(rng, radius, share, bands=True):
+    """A window with grid-edge OOB bands (when ``bands``) along the top or
+    bottom and the left or right; every other cell, the centre included,
+    is uncovered with probability ``share``."""
     size = 2 * radius + 1
-    band_rows, band_cols = rng.randrange(radius + 1), rng.randrange(radius + 1)
+    band_rows, band_cols = (
+        (rng.randrange(radius + 1), rng.randrange(radius + 1)) if bands else (0, 0)
+    )
     far_side = rng.random() < 0.5
 
     def off_grid(i, band):
@@ -172,15 +174,18 @@ def sweep_window(rng, radius, share):
 
 
 def test_values_equal_the_plain_dp_bit_for_bit():
-    # == and not approx: greedy tie-breaks compare these floats exactly
+    # == and not approx: greedy tie-breaks compare these floats exactly.
+    # Dense windows drive nodes to their ceiling (the early stop); sparse
+    # ones reach it rarely and exercise the skip of moves that collect
+    # nothing. Both prune only from horizon 4 on.
     rng = random.Random(41)
     for radius in range(1, 5):
         for horizon in range(1, 8):
-            for share in (0.25, 0.5, 1.0):
-                for _ in range(2):
-                    rows = sweep_window(rng, radius, share)
+            for share in (0.0, 0.05, 0.1, 0.25, 0.5, 1.0):
+                for bands in (False, True):
+                    rows = sweep_window(rng, radius, share, bands)
                     obs = window_obs(rows, position=(radius, radius))
-                    for gamma in (0.0, 0.5, 0.9, 0.99):
+                    for gamma in (0.0, 0.5, 0.9, 0.99, 0.999):
                         cfg = ValueOracleConfig(gamma=gamma, horizon=horizon, radius=radius)
                         got = list(action_values(obs, cfg))
                         assert got == dp_values(rows, gamma, horizon), (
