@@ -63,7 +63,6 @@ from .trust import (
     kl_score,
     step_trust_all,
     update_belief,
-    update_consistency_count,
     value_gap,
 )
 

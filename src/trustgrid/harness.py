@@ -2,9 +2,9 @@
 
 One run executes a scenario's seed list episode by episode. Each step:
 agents exchange messages, the trust-gated (or ungated) inboxes feed each
-agent's action choice, the environment advances, and every observer
-re-evaluates its peers from the messages and actions of the step just
-taken. Output is fully determined by (config, seed list), byte for byte.
+agent's action choice, the environment advances, and every heard sender
+is re-evaluated from its message and action in the step just taken.
+Output is fully determined by (config, seed list), byte for byte.
 """
 
 from __future__ import annotations
@@ -123,9 +123,11 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     """One seeded episode under the scenario's defense mode.
 
     Step order: observe, transmit, gate (trust-gating modes only), act,
-    advance the environment, then update every observer's trust from this
-    step's payloads and actions so the verdicts shape the next step's
-    gating. Trust is monitored in every mode; only gating is mode-dependent.
+    advance the environment, then update the trust in every heard sender
+    from this step's payloads and actions so the verdicts shape the next
+    step's gating. Trust is monitored in every mode; only gating is
+    mode-dependent. Every hearer of a sender reaches the same verdict and
+    so holds the same belief in it, so the episode keeps one trust state.
 
     The episode freezes after a step at which no agent moved, when no
     sender's falsification draws randomness, every logged belief is 1.0
@@ -143,8 +145,8 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     roles = cfg.roles()
     ids = sorted(roster)
     radius = cfg.oracle.radius
-    trust_states = {i: init_trust(i, ids, cfg.s) for i in ids}
     heard = {i: cfg.topology.neighbors(i) for i in ids}
+    trust = init_trust({j for i in ids for j in heard[i]}, cfg.s)
     gating = cfg.gating_enabled()
     redraws = any(spec.falsification in RANDOM_FALSIFICATIONS for spec in cfg.roster)
 
@@ -171,23 +173,17 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
                 continue
             inbox = inboxes[i]
             if gating:
-                inbox = gate_messages(trust_states[i], inbox, cfg.tau, cfg.gating, gate_rng)
+                inbox = gate_messages(trust, inbox, cfg.tau, cfg.gating, gate_rng)
             actions[i] = greedy_action(merge_observation(views[i], inbox), cfg.oracle)
         positions = state.positions
         state, rewards = step(state, actions)
-        verdict_map = step_trust_all(
-            trust_states, payloads, heard, actions, cfg.consistency, cfg.oracle
-        )
-        beliefs = {
-            (obs, peer): trust_states[obs].beliefs[peer]
-            for obs in ids
-            for peer in heard[obs]
-        }
-        verdicts = {pair: verdict.consistent for pair, verdict in verdict_map.items()}
+        judged = step_trust_all(trust, payloads, actions, cfg.consistency, cfg.oracle)
+        beliefs = dict(trust.beliefs)
+        verdicts = {sender: verdict.consistent for sender, verdict in judged.items()}
         frozen = (
             state.positions == positions
             and not redraws
-            and all(beliefs[pair] == float(v) for pair, v in verdicts.items())
+            and all(beliefs[j] == float(v) for j, v in verdicts.items())
             and bool(steps)
             and beliefs == steps[-1].beliefs
         )
@@ -198,7 +194,7 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
                 rewards=rewards,
                 beliefs=beliefs,
                 verdicts=verdicts,
-                confusion=classify_step(trust_states, roles, cfg.tau, heard),
+                confusion=classify_step(trust, roles, cfg.tau, heard),
             )
         )
     return EpisodeRun(seed=seed, steps=steps, summary=summarize(steps, roles))
@@ -331,10 +327,11 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
     """Write <scenario>.csv and <scenario>.json; byte-stable across reruns.
 
     CSV: one row per (episode, step, observer, heard peer). belief and
-    verdict are pair-level; tp/tn/fp/fn and f1 are the observer's counts
-    for that step, so each row's counts sum to the observer's
-    received-message count. Floats use 9 significant digits everywhere.
-    Both files are written in full before either replaces an earlier run's.
+    verdict are the peer's, the same on every row that names it; tp/tn/fp/fn
+    and f1 are the observer's counts for that step, so each row's counts sum
+    to the observer's received-message count. Floats use 9 significant
+    digits everywhere. Both files are written in full before either
+    replaces an earlier run's.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = artifact.config
@@ -355,10 +352,9 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
                         f"{_fmt(f1(counts))}\n"
                     )
                     for peer in heard[observer]:
-                        pair = (observer, peer)
                         rows.append(
-                            f"{prefix}{observer},{peer},{_fmt(entry.beliefs[pair])},"
-                            f"{_fmt(entry.verdicts[pair])}{tail}"
+                            f"{prefix}{observer},{peer},{_fmt(entry.beliefs[peer])},"
+                            f"{_fmt(entry.verdicts[peer])}{tail}"
                         )
                 fh.write("".join(rows))
 

@@ -32,8 +32,8 @@ class StepLog:
     step: int
     coverage: float
     rewards: dict[int, int]
-    beliefs: dict[tuple[int, int], float]  # (observer, peer) -> belief
-    verdicts: dict[tuple[int, int], bool]  # (observer, peer) -> consistent
+    beliefs: dict[int, float]  # heard sender -> belief, shared by its hearers
+    verdicts: dict[int, bool]  # heard sender -> consistent, shared by its hearers
     confusion: dict[int, ConfusionCounts]  # observer -> step counts
 
 
@@ -46,30 +46,23 @@ class EpisodeSummary:
 
 
 def classify_step(
-    trust_states: dict[int, TrustState],
+    ts: TrustState,
     roles: dict[int, Role],
     tau: float,
-    heard: dict[int, tuple[int, ...]] | None = None,
+    heard: dict[int, tuple[int, ...]],
 ) -> dict[int, ConfusionCounts]:
     """Per-observer confusion at one instant: flagged iff belief < tau.
 
-    ``heard`` limits each observer to the peers it actually receives
-    messages from (its channel neighbours); by default every peer except
-    the observer itself counts. Each counted peer lands in exactly one
-    cell, so an observer's counts sum to its received-message count.
+    ``heard`` maps each observer to the peers it receives messages from
+    (its channel neighbours). Each heard peer lands in exactly one cell,
+    so an observer's counts sum to its received-message count.
     """
     out: dict[int, ConfusionCounts] = {}
-    for observer in sorted(trust_states):
-        ts = trust_states[observer]
-        if heard is None:
-            peers: tuple[int, ...] = tuple(p for p in ts.beliefs if p != observer)
-        else:
-            peers = heard[observer]
+    for observer in sorted(heard):
         tp = tn = fp = fn = 0
-        for peer in peers:
+        for peer in heard[observer]:
             flagged = ts.beliefs[peer] < tau
-            adversary = roles[peer] is Role.SELF_INTERESTED
-            if adversary:
+            if roles[peer] is Role.SELF_INTERESTED:
                 if flagged:
                     tp += 1
                 else:

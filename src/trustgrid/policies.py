@@ -17,6 +17,11 @@ from functools import lru_cache
 from .env import ACTION_DELTAS, CELL_OOB, CELL_UNCOVERED, Action, Observation
 
 
+# The value recursion takes one Python frame per lookahead step; this
+# leaves half of Python's default recursion limit (1000) to its callers.
+MAX_HORIZON = 500
+
+
 @dataclass(frozen=True)
 class ValueOracleConfig:
     """Lookahead parameters shared by every agent in a scenario."""
@@ -30,6 +35,8 @@ class ValueOracleConfig:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.horizon > MAX_HORIZON:
+            raise ValueError(f"horizon must be <= {MAX_HORIZON}, got {self.horizon}")
         if self.radius < 1:
             raise ValueError(f"radius must be >= 1, got {self.radius}")
 

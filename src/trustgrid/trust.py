@@ -1,17 +1,22 @@
 """Peer trust from observed behaviour.
 
-Each agent keeps a belief in [0, 1] per agent. After every exchange it asks:
-given the observation a peer claimed, would I have acted as that peer did?
-Agents share one policy, so an honest peer's action must match (or score
-close to) the observer's own choice on the claimed observation. Verdicts
-accumulate into per-peer counts that drive belief updates, and beliefs gate
-which incoming messages an agent is willing to use.
+After every exchange each heard sender's claim is put to one question:
+given the observation the sender claimed, would a cooperative agent have
+acted as the sender did? Agents share one policy, so an honest sender's
+action must match (or score close to) the shared choice on the claimed
+observation. The verdict depends only on the sender's payload and action,
+so every agent that hears the sender reaches the same verdict and holds
+the same belief in it: one belief in [0, 1] per heard sender stands for
+all of its hearers. Verdicts accumulate into per-sender counts that drive
+belief updates, and beliefs gate which incoming messages an agent is
+willing to use.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -69,33 +74,25 @@ class Verdict:
 
 @dataclass
 class TrustState:
-    """One observer's running model of every agent, itself included.
+    """One episode's running model of every heard sender.
 
-    ``counts[peer]`` is [inconsistent verdicts, consistent verdicts]. The
-    self entry stays at belief 1.0 with zero counts; it exists so the belief
-    vector is total over the roster.
+    ``counts[sender]`` is [inconsistent verdicts, consistent verdicts].
+    Every hearer of a sender judges it by the same verdict at the same
+    step, from the same initial belief, so one entry serves them all.
     """
 
-    owner: int
     beliefs: dict[int, float]
     counts: dict[int, list[int]]
     s: float
     t: int = 1
 
 
-def init_trust(
-    owner: int,
-    all_agent_ids: list[int] | tuple[int, ...],
-    s: float = DEFAULT_STEP_MULTIPLIER,
-) -> TrustState:
-    """Fresh state: full belief in everyone, no evidence yet."""
+def init_trust(senders: Iterable[int], s: float = DEFAULT_STEP_MULTIPLIER) -> TrustState:
+    """Fresh state: full belief in every heard sender, no evidence yet."""
     if s <= 0.0:
         raise ValueError(f"belief step multiplier must be positive, got {s}")
-    ids = sorted(all_agent_ids)
-    if owner not in ids:
-        raise ValueError(f"owner {owner} is not in the agent list")
+    ids = sorted(senders)
     return TrustState(
-        owner=owner,
         beliefs={i: 1.0 for i in ids},
         counts={i: [0, 0] for i in ids},
         s=s,
@@ -173,8 +170,10 @@ def consistency_check(
     value gap (or the KL surprise in KL mode).
     """
     if cfg.mode is ConsistencyMode.EXACT_MATCH:
-        consistent = greedy_action(payload, oracle) == observed_action
-        return Verdict(consistent, value_gap(payload, observed_action, oracle))
+        # greedy_action's first-max tie-break, from one oracle lookup
+        values = action_values(payload, oracle)
+        top = max(values)
+        return Verdict(values.index(top) == observed_action, top - values[observed_action])
     if cfg.mode is ConsistencyMode.VALUE_THRESHOLD:
         gap = value_gap(payload, observed_action, oracle)
         return Verdict(gap <= cfg.rho, gap)
@@ -186,67 +185,47 @@ def consistency_check(
     raise ValueError(f"unknown consistency mode {cfg.mode!r}")
 
 
-def update_consistency_count(ts: TrustState, peer: int, verdict: Verdict) -> None:
-    if peer not in ts.counts:
-        raise KeyError(f"agent {ts.owner} has no count entry for {peer}")
-    ts.counts[peer][1 if verdict.consistent else 0] += 1
+def update_belief(ts: TrustState, sender: int, verdict: Verdict) -> None:
+    """Count this step's verdict, then move belief by s * (matching verdict
+    count / step), clamped to [0, 1].
 
-
-def update_belief(ts: TrustState, peer: int, verdict: Verdict) -> None:
-    """Move belief by s * (matching verdict count / step), clamped to [0, 1].
-
-    The count must already include this step's verdict. Counts grow while
-    the divisor is the running step, so a consistent streak holds belief at
-    the ceiling and repeated inconsistency pins it to the floor.
+    Counts grow while the divisor is the running step, so a consistent
+    streak holds belief at the ceiling and repeated inconsistency pins it
+    to the floor.
     """
     if ts.t < 2:
         raise ValueError(f"belief update requires step >= 2, got {ts.t}")
-    if peer not in ts.beliefs:
-        raise KeyError(f"agent {ts.owner} has no belief entry for {peer}")
-    count = ts.counts[peer][1 if verdict.consistent else 0]
-    belief = ts.beliefs[peer]
+    counts = ts.counts[sender]  # KeyError for a sender nobody hears
+    counts[1 if verdict.consistent else 0] += 1
+    belief = ts.beliefs[sender]
     if verdict.consistent:
-        belief = belief + ts.s * (count / ts.t)
+        belief = belief + ts.s * (counts[1] / ts.t)
     else:
-        belief = belief - ts.s * (count / ts.t)
-    ts.beliefs[peer] = min(1.0, max(0.0, belief))
+        belief = belief - ts.s * (counts[0] / ts.t)
+    ts.beliefs[sender] = min(1.0, max(0.0, belief))
 
 
 def step_trust_all(
-    states: dict[int, TrustState],
+    ts: TrustState,
     payloads: dict[int, Observation],
-    heard: dict[int, tuple[int, ...]],
     observed_actions: dict[int, Action],
     cfg: ConsistencyConfig,
     oracle: ValueOracleConfig,
-) -> dict[tuple[int, int], Verdict]:
-    """One reevaluation round over every observer after an environment step.
+) -> dict[int, Verdict]:
+    """One reevaluation round after an environment step.
 
-    ``payloads`` holds what each sender transmitted in the step just taken,
-    ``heard`` the senders each observer received a message from, and
-    ``observed_actions`` the actions the senders were seen to take. Each
-    heard sender is judged once, and that verdict counts for every
-    observer that heard it, including observers that chose not to act on
-    the message, so beliefs can keep moving for gated senders. Each
-    observer advances its step counter exactly once; with no message there
-    is no verdict and no belief change for that pair.
+    ``payloads`` holds what each sender transmitted in the step just taken
+    and ``observed_actions`` the actions the senders were seen to take.
+    The step counter advances once, and each heard sender is judged once.
+    Its verdict counts for every hearer, including hearers that chose not
+    to act on the message, so beliefs keep moving for gated senders.
     """
-    judged: dict[int, Verdict] = {}
-    for sender in {j for i in states for j in heard.get(i, ())}:
-        if sender not in observed_actions:
-            raise KeyError(f"no observed action for message sender {sender}")
-        judged[sender] = consistency_check(
-            oracle, payloads[sender], observed_actions[sender], cfg
-        )
-    verdicts: dict[tuple[int, int], Verdict] = {}
-    for observer in sorted(states):
-        ts = states[observer]
-        ts.t += 1
-        for sender in heard.get(observer, ()):
-            verdict = judged[sender]
-            update_consistency_count(ts, sender, verdict)
-            update_belief(ts, sender, verdict)
-            verdicts[(observer, sender)] = verdict
+    ts.t += 1
+    verdicts: dict[int, Verdict] = {}
+    for sender in ts.beliefs:
+        verdict = consistency_check(oracle, payloads[sender], observed_actions[sender], cfg)
+        update_belief(ts, sender, verdict)
+        verdicts[sender] = verdict
     return verdicts
 
 
@@ -257,13 +236,13 @@ def gate_messages(
     mode: GatingMode = GatingMode.THRESHOLD,
     rng: random.Random | None = None,
 ) -> tuple[Observation, ...]:
-    """Drop payloads from senders the owner does not trust.
+    """Drop an inbox's payloads from senders that are not trusted.
 
     Threshold mode keeps a payload iff its sender's belief is at least tau,
     so tau = 0 disables gating. Bernoulli mode keeps it with probability
     equal to the belief, drawing one uniform per payload in inbox order.
-    Dropped senders simply contribute nothing; the owner proceeds on fewer
-    payloads.
+    Dropped senders simply contribute nothing; the receiving agent
+    proceeds on fewer payloads.
     """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
@@ -271,10 +250,7 @@ def gate_messages(
         raise ValueError("bernoulli gating requires an rng")
     kept: list[Observation] = []
     for payload in inbox:
-        sender = payload.agent_id
-        if sender not in ts.beliefs:
-            raise KeyError(f"agent {ts.owner} has no belief entry for {sender}")
-        belief = ts.beliefs[sender]
+        belief = ts.beliefs[payload.agent_id]  # KeyError for a sender nobody hears
         if mode is GatingMode.THRESHOLD:
             keep = belief >= tau
         else:

@@ -44,7 +44,6 @@ from trustgrid.trust import (
     init_trust,
     kl_score,
     update_belief,
-    update_consistency_count,
 )
 
 SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "default.ini")
@@ -216,22 +215,18 @@ def test_criterion_3_belief_replay_is_exact(capsys):
         )
     mismatches = 0
     for s, verdicts in sequences:
-        ts = init_trust(0, [0, 1], s=s)
+        ts = init_trust([1], s=s)
         got = []
         for consistent in verdicts:
             ts.t += 1
-            verdict = Verdict(consistent, 0.0)
-            update_consistency_count(ts, 1, verdict)
-            update_belief(ts, 1, verdict)
+            update_belief(ts, 1, Verdict(consistent, 0.0))
             got.append(ts.beliefs[1])
         if got != replay_beliefs(verdicts, s):
             mismatches += 1
 
-    collapse = init_trust(0, [0, 1], s=3.7)
+    collapse = init_trust([1], s=3.7)
     collapse.t = 2
-    first = Verdict(False, 1.0)
-    update_consistency_count(collapse, 1, first)
-    update_belief(collapse, 1, first)
+    update_belief(collapse, 1, Verdict(False, 1.0))
     collapsed = collapse.beliefs[1]
 
     ok = mismatches == 0 and collapsed == 0.0 and len(sequences) == 50
@@ -359,7 +354,7 @@ def detection_scores(artifact, material):
         for observer, peers in liars_heard.items():
             for peer in peers:
                 flagged = [
-                    entry.beliefs[(observer, peer)] < cfg.tau for entry in ep.steps
+                    entry.beliefs[peer] < cfg.tau for entry in ep.steps
                 ]
                 early_hits += any(flagged[:50])  # steps are 1-based
                 if any(flagged):
@@ -541,15 +536,13 @@ def test_criterion_8_confusion_identities_hold(tmp_path, capsys):
 
     rng = random.Random(88)
     roles = {0: Role.SELF_INTERESTED, 1: Role.COOPERATIVE, 2: Role.COOPERATIVE}
+    heard = {i: tuple(j for j in sorted(roles) if j != i) for i in roles}
     sum_mismatches = 0
     for _ in range(50):
-        states = {}
-        for owner in roles:
-            ts = init_trust(owner, sorted(roles))
-            for peer in ts.beliefs:
-                ts.beliefs[peer] = rng.random()
-            states[owner] = ts
-        for counts in classify_step(states, roles, rng.random()).values():
+        ts = init_trust(sorted(roles))
+        for peer in ts.beliefs:
+            ts.beliefs[peer] = rng.random()
+        for counts in classify_step(ts, roles, rng.random(), heard).values():
             if counts.total() != len(roles) - 1:
                 sum_mismatches += 1
 

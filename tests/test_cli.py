@@ -98,6 +98,7 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "[grid]\nwidth = 1\n",
         "[roster]\nstarts = 1,1; 1,1; 2,2; 3,3\n",
         "[oracle]\nhorizon = 0\n",
+        "[grid]\nwidth = 4\nheight = 4\n[episode]\nsteps = 2\n[oracle]\nradius = 1\nhorizon = 990\n",
         "[episode]\nseeds = 1,1\n",
         "[defense]\ns = nan\n",
         "[defense]\ns = inf\n",
@@ -110,6 +111,7 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "narrow_grid",
         "shared_start",
         "zero_horizon",
+        "recursion_deep_horizon",
         "duplicate_seeds",
         "nan_s",
         "inf_s",
@@ -225,7 +227,7 @@ ALWAYS_SET = {
     "grid.height": (["2", "4"], ["1", "-1", ""]),
     "episode.steps": (["2", "5"], ["1", "0", "-1", "x"]),
     "episode.seeds": (["0", "0:3", "0,4"], ["2:0", "3:3", "1,1", "", "a:b", "1:x"]),
-    "oracle.horizon": (["1", "3"], ["0", "-1", "x"]),
+    "oracle.horizon": (["1", "3"], ["0", "-1", "x", "3000"]),
 }
 MAYBE_SET = {
     "oracle.gamma": (["0", "0.9", "1"], ["1.5", "-0.1", "nan", "inf"]),

@@ -238,6 +238,7 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[episode]\nseeds =\n", "at least one seed"),
         ("[episode]\nseeds = 1,1\n", "duplicate seed"),
         ("[oracle]\nhorizon = 0\n", r"oracle\.horizon must be >= 1"),
+        ("[oracle]\nhorizon = 990\n", r"oracle\.horizon must be <= 500"),
         ("[oracle]\ngamma = 1.0\n", r"oracle\.gamma must be in \[0, 1\)"),
         ("[oracle]\nradius = 0\n", r"oracle\.radius must be >= 1"),
         ("[defense]\nrho = -1\n", r"defense\.rho must be non-negative"),

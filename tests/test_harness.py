@@ -227,7 +227,7 @@ def fixed_points(log, ep):
     return [
         k > 0
         and before.positions == after.positions
-        and all(entry.beliefs[pair] == float(v) for pair, v in entry.verdicts.items())
+        and all(entry.beliefs[j] == float(v) for j, v in entry.verdicts.items())
         and entry.beliefs == ep.steps[k - 1].beliefs
         for k, ((before, after, _), entry) in enumerate(zip(log, ep.steps))
     ]
@@ -429,12 +429,11 @@ def test_a_belief_that_crosses_tau_on_a_step_that_moves_nobody_changes_the_next_
     before, after, _ = log[crossing]
     assert before.positions == after.positions
     assert fixed_points(log, ep)[crossing] is False
-    for observer in (1, 2, 3, 4):
-        assert ep.steps[crossing - 1].beliefs[(observer, 0)] == 1.0
-        assert ep.steps[crossing].beliefs[(observer, 0)] == 0.0
+    assert ep.steps[crossing - 1].beliefs[0] == 1.0
+    assert ep.steps[crossing].beliefs[0] == 0.0
     assert all(
-        belief == float(ep.steps[crossing].verdicts[pair])
-        for pair, belief in ep.steps[crossing].beliefs.items()
+        belief == float(ep.steps[crossing].verdicts[sender])
+        for sender, belief in ep.steps[crossing].beliefs.items()
     )
     assert ep.steps[crossing].coverage == 5 / 6
     assert log[crossing + 1][2][2] is Action.DOWN
@@ -469,21 +468,21 @@ def never_frozen():
 def test_a_saturated_belief_that_disagrees_with_its_verdict_does_not_freeze(
     tmp_path, monkeypatch
 ):
-    # With s = 1e-16, the liar's belief in agent 1 stays 1.0 under an
-    # inconsistent verdict while s * count / step is below half an ulp of
-    # 1.0, so two steps that move nobody log the same beliefs. The belief
+    # With s = 1e-16, the belief in agent 1, heard only by the liar, stays
+    # 1.0 under an inconsistent verdict while s * count / step is below half
+    # an ulp of 1.0, so two steps that move nobody log the same beliefs. The belief
     # moves at the step after, so those steps are no fixed point.
     cfg = config_from(tmp_path, S_BELOW_HALF_AN_ULP)
     log = record_steps(monkeypatch)
     ep = run_episode(cfg, cfg.seeds[0])
-    pair = (0, 1)
+    sender = 1
     for k in (1, 2):
         before, after, _ = log[k]
         assert before.positions == after.positions
-        assert ep.steps[k].beliefs[pair] == 1.0
-        assert ep.steps[k].verdicts[pair] is False
+        assert ep.steps[k].beliefs[sender] == 1.0
+        assert ep.steps[k].verdicts[sender] is False
     assert ep.steps[2].beliefs == ep.steps[1].beliefs
-    assert ep.steps[3].beliefs[pair] < 1.0
+    assert ep.steps[3].beliefs[sender] < 1.0
     with never_frozen():
         simulated = run_episode(cfg, cfg.seeds[0])
     assert simulated.steps == ep.steps

@@ -26,13 +26,14 @@ ROLES = {
 }
 
 
-def states_with(beliefs_by_owner):
-    states = {}
-    for owner, overrides in beliefs_by_owner.items():
-        ts = init_trust(owner, sorted(ROLES))
-        ts.beliefs.update(overrides)
-        states[owner] = ts
-    return states
+# every agent hears every other
+HEARD = {i: tuple(j for j in sorted(ROLES) if j != i) for i in ROLES}
+
+
+def state_with(beliefs):
+    ts = init_trust(sorted(ROLES))
+    ts.beliefs.update(beliefs)
+    return ts
 
 
 def test_confusion_counts_total():
@@ -42,8 +43,7 @@ def test_confusion_counts_total():
 
 
 def test_classify_fresh_states_miss_the_adversary():
-    states = states_with({i: {} for i in ROLES})
-    confusion = classify_step(states, ROLES, tau=0.5)
+    confusion = classify_step(state_with({}), ROLES, tau=0.5, heard=HEARD)
     assert confusion[1] == ConfusionCounts(tp=0, tn=2, fp=0, fn=1)
     assert confusion[2] == ConfusionCounts(tp=0, tn=2, fp=0, fn=1)
     # the adversary observes three cooperators
@@ -51,38 +51,38 @@ def test_classify_fresh_states_miss_the_adversary():
 
 
 def test_classify_collapsed_belief_is_a_true_positive():
-    states = states_with({1: {0: 0.0}})
-    confusion = classify_step(states, ROLES, tau=0.5)
-    assert confusion[1] == ConfusionCounts(tp=1, tn=2, fp=0, fn=0)
+    confusion = classify_step(state_with({0: 0.0}), ROLES, tau=0.5, heard=HEARD)
+    for observer in (1, 2, 3):
+        assert confusion[observer] == ConfusionCounts(tp=1, tn=2, fp=0, fn=0)
+    assert confusion[0] == ConfusionCounts(tp=0, tn=3, fp=0, fn=0)
 
 
 def test_classify_boundary_belief_is_trusted():
     # flagged iff belief < tau, so belief == tau counts as trusted
-    states = states_with({1: {0: 0.5}})
-    assert classify_step(states, ROLES, tau=0.5)[1].fn == 1
-    states = states_with({1: {0: 0.4999}})
-    assert classify_step(states, ROLES, tau=0.5)[1].tp == 1
+    ts = state_with({0: 0.5})
+    assert classify_step(ts, ROLES, tau=0.5, heard=HEARD)[1].fn == 1
+    ts = state_with({0: 0.4999})
+    assert classify_step(ts, ROLES, tau=0.5, heard=HEARD)[1].tp == 1
 
 
 def test_classify_mixed_hand_tally():
-    states = states_with({1: {0: 0.1, 2: 0.2, 3: 0.9}})
-    confusion = classify_step(states, ROLES, tau=0.5)
+    ts = state_with({0: 0.1, 2: 0.2, 3: 0.9})
+    confusion = classify_step(ts, ROLES, tau=0.5, heard=HEARD)
     # adversary 0 flagged, cooperator 2 wrongly flagged, cooperator 3 trusted
     assert confusion[1] == ConfusionCounts(tp=1, tn=1, fp=1, fn=0)
     assert f1(confusion[1]) == pytest.approx(2 / 3)
 
 
 def test_classify_respects_heard_restriction():
-    states = states_with({1: {0: 0.0}})
+    ts = state_with({0: 0.0})
     heard = {1: (2, 3)}  # the adversary is off-channel for this observer
-    confusion = classify_step(states, ROLES, tau=0.5, heard=heard)
-    assert confusion[1] == ConfusionCounts(tp=0, tn=2, fp=0, fn=0)
+    confusion = classify_step(ts, ROLES, tau=0.5, heard=heard)
+    assert confusion == {1: ConfusionCounts(tp=0, tn=2, fp=0, fn=0)}
     assert confusion[1].total() == len(heard[1])
 
 
 def test_classify_never_counts_self():
-    states = states_with({i: {} for i in ROLES})
-    confusion = classify_step(states, ROLES, tau=0.5)
+    confusion = classify_step(state_with({}), ROLES, tau=0.5, heard=HEARD)
     for observer, counts in confusion.items():
         assert counts.total() == len(ROLES) - 1, observer
 

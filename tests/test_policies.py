@@ -10,6 +10,7 @@ import pytest
 from oracles import dp_values, enumeration_values
 from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
 from trustgrid.policies import (
+    MAX_HORIZON,
     ActionDistribution,
     ValueOracleConfig,
     action_distribution,
@@ -45,6 +46,20 @@ def test_fully_covered_window_is_worthless():
     cfg = ValueOracleConfig()
     assert action_values(obs, cfg) == (0.0,) * 5
     assert greedy_action(obs, cfg) is Action.UP  # first in the tie order
+
+
+def test_the_deepest_horizon_returns_under_pytest():
+    with pytest.raises(ValueError, match=f"horizon must be <= {MAX_HORIZON}"):
+        ValueOracleConfig(horizon=MAX_HORIZON + 1)
+    # once the one uncovered cell is collected nothing is left, so the
+    # recursion runs every branch to the full depth, one frame per move
+    rows = [[CELL_COVERED] * 3 for _ in range(3)]
+    rows[1][2] = CELL_UNCOVERED
+    cfg = ValueOracleConfig(gamma=0.9, horizon=MAX_HORIZON, radius=1)
+    values = action_values(window_obs(rows, position=(1, 1)), cfg)
+    assert values[Action.RIGHT] == 1.0
+    assert values[Action.STAY] == 0.9 * 1.0
+    assert greedy_action(window_obs(rows, position=(1, 1)), cfg) is Action.RIGHT
 
 
 def test_single_uncovered_cell_right_horizon_one():

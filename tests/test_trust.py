@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from oracles import kl_surprise, replay_beliefs
+from test_golden import BASE, TOPOLOGIES
+from trustgrid import policies, trust
+from trustgrid.config import parse_config
 from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
+from trustgrid.harness import run_episode
 from trustgrid.policies import (
     ValueOracleConfig,
     action_distribution,
@@ -28,7 +32,6 @@ from trustgrid.trust import (
     kl_score,
     step_trust_all,
     update_belief,
-    update_consistency_count,
     value_gap,
 )
 
@@ -47,25 +50,23 @@ def right_window(agent_id=0, t=0):
 
 
 def test_init_trust_full_belief_and_zero_counts():
-    ts = init_trust(2, [0, 1, 2, 3])
-    assert ts.owner == 2
+    ts = init_trust({3, 0, 1})
     assert ts.t == 1
-    assert ts.beliefs == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
-    assert ts.counts == {0: [0, 0], 1: [0, 0], 2: [0, 0], 3: [0, 0]}
+    assert ts.beliefs == {0: 1.0, 1: 1.0, 3: 1.0}
+    assert list(ts.beliefs) == [0, 1, 3]
+    assert ts.counts == {0: [0, 0], 1: [0, 0], 3: [0, 0]}
     assert ts.s == 3.7
 
 
 def test_init_trust_validates_inputs():
     with pytest.raises(ValueError):
-        init_trust(0, [0, 1], s=0.0)
+        init_trust([0, 1], s=0.0)
     with pytest.raises(ValueError):
-        init_trust(0, [0, 1], s=-1.0)
-    with pytest.raises(ValueError):
-        init_trust(9, [0, 1])
+        init_trust([0, 1], s=-1.0)
 
 
 def test_fresh_state_gates_nothing():
-    ts = init_trust(0, [0, 1, 2])
+    ts = init_trust([1, 2])
     inbox = (right_window(agent_id=1), right_window(agent_id=2))
     assert gate_messages(ts, inbox, tau=1.0) == inbox
 
@@ -87,6 +88,24 @@ def test_exact_match_verdicts():
     verdict = consistency_check(ORACLE, obs, Action.DOWN, cfg)
     assert not verdict.consistent
     assert verdict.score == 1.0
+
+
+def test_exact_match_reads_the_oracle_once_per_verdict(monkeypatch):
+    calls = []
+
+    def counting_values(obs, oracle):
+        calls.append(obs)
+        return action_values(obs, oracle)
+
+    # both modules' names, so a lookup through greedy_action counts too
+    monkeypatch.setattr(policies, "action_values", counting_values)
+    monkeypatch.setattr(trust, "action_values", counting_values)
+    cfg = ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH)
+    obs = right_window()
+    for action in Action:
+        before = len(calls)
+        consistency_check(ORACLE, obs, action, cfg)
+        assert len(calls) - before == 1, action
 
 
 def test_exact_match_flags_the_offbrand_tie():
@@ -157,42 +176,43 @@ def test_consistency_config_validation():
 
 
 def test_count_updates():
-    ts = init_trust(0, [0, 1])
-    update_consistency_count(ts, 1, Verdict(True, 0.0))
+    ts = init_trust([1], s=0.1)
+    ts.t = 2
+    update_belief(ts, 1, Verdict(True, 0.0))
     assert ts.counts[1] == [0, 1]
-    update_consistency_count(ts, 1, Verdict(False, 1.0))
-    update_consistency_count(ts, 1, Verdict(False, 1.0))
+    update_belief(ts, 1, Verdict(False, 1.0))
+    update_belief(ts, 1, Verdict(False, 1.0))
     assert ts.counts[1] == [2, 1]
     with pytest.raises(KeyError):
-        update_consistency_count(ts, 5, Verdict(True, 0.0))
+        update_belief(ts, 5, Verdict(True, 0.0))
 
 
 def test_belief_update_spec_arithmetic():
-    ts = init_trust(0, [0, 1], s=0.5)
+    ts = init_trust([1], s=0.5)
     ts.t = 2
-    ts.counts[1] = [1, 0]  # count already includes this step's verdict
-    update_belief(ts, 1, Verdict(False, 1.0))
+    update_belief(ts, 1, Verdict(False, 1.0))  # counts this verdict first
+    assert ts.counts[1] == [1, 0]
     assert ts.beliefs[1] == 1.0 - 0.5 * (1 / 2)
 
-    ts2 = init_trust(0, [0, 1], s=0.5)
+    ts2 = init_trust([1], s=0.5)
     ts2.t = 2
-    ts2.counts[1] = [0, 1]
     update_belief(ts2, 1, Verdict(True, 0.0))
+    assert ts2.counts[1] == [0, 1]
     assert ts2.beliefs[1] == 1.0  # clamped at the ceiling
 
 
 def test_belief_collapse_at_default_step_multiplier():
-    ts = init_trust(0, [0, 1], s=3.7)
+    ts = init_trust([1], s=3.7)
     ts.t = 2
-    ts.counts[1] = [1, 0]
     update_belief(ts, 1, Verdict(False, 1.0))
     assert ts.beliefs[1] == 0.0
 
 
 def test_belief_update_requires_second_step():
-    ts = init_trust(0, [0, 1])
+    ts = init_trust([1])
     with pytest.raises(ValueError):
         update_belief(ts, 1, Verdict(True, 0.0))
+    assert ts.counts[1] == [0, 0]
 
 
 def test_belief_trajectories_match_replay_oracle():
@@ -200,87 +220,83 @@ def test_belief_trajectories_match_replay_oracle():
     for _ in range(30):
         s = rng.choice((0.1, 0.5, 1.0, 3.7))
         verdicts = [rng.random() < 0.5 for _ in range(rng.randrange(1, 30))]
-        ts = init_trust(0, [0, 1], s=s)
+        ts = init_trust([1], s=s)
         got = []
         for consistent in verdicts:
             ts.t += 1
-            verdict = Verdict(consistent, 0.0)
-            update_consistency_count(ts, 1, verdict)
-            update_belief(ts, 1, verdict)
+            update_belief(ts, 1, Verdict(consistent, 0.0))
             got.append(ts.beliefs[1])
         assert got == replay_beliefs(verdicts, s)
 
 
 def test_step_trust_all_cooperative_beliefs_stay_at_one():
     ids = [0, 1, 2]
-    states = {i: init_trust(i, ids) for i in ids}
+    ts = init_trust(ids)
     cfg = ConsistencyConfig()
     payloads = {i: right_window(agent_id=i) for i in ids}
-    heard = {i: tuple(j for j in ids if j != i) for i in ids}
     actions = {i: Action.RIGHT for i in ids}
     for _ in range(5):
-        verdicts = step_trust_all(states, payloads, heard, actions, cfg, ORACLE)
+        verdicts = step_trust_all(ts, payloads, actions, cfg, ORACLE)
+        assert sorted(verdicts) == ids
         assert all(v.consistent for v in verdicts.values())
-    for i in ids:
-        assert states[i].t == 6
-        assert all(b == 1.0 for b in states[i].beliefs.values())
+    assert ts.t == 6
+    assert all(b == 1.0 for b in ts.beliefs.values())
+    assert ts.counts == {i: [0, 5] for i in ids}
 
 
 def test_step_trust_all_flags_a_liar_everywhere():
     ids = [0, 1, 2]
-    states = {i: init_trust(i, ids) for i in ids}
+    ts = init_trust(ids)
     cfg = ConsistencyConfig()
     payloads = {
         0: window_obs([[CELL_COVERED] * 3 for _ in range(3)], agent_id=0),  # the lie
         1: right_window(agent_id=1),
         2: right_window(agent_id=2),
     }
-    heard = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
     actions = {0: Action.RIGHT, 1: Action.RIGHT, 2: Action.RIGHT}
-    verdicts = step_trust_all(states, payloads, heard, actions, cfg, ORACLE)
+    verdicts = step_trust_all(ts, payloads, actions, cfg, ORACLE)
     # greedy on the all-covered lie is Up, agent 0 acted Right
-    assert not verdicts[(1, 0)].consistent
-    assert not verdicts[(2, 0)].consistent
-    assert states[1].beliefs[0] == 0.0
-    assert states[2].beliefs[0] == 0.0
-    assert states[0].beliefs == {0: 1.0, 1: 1.0, 2: 1.0}
+    assert not verdicts[0].consistent
+    assert verdicts[1].consistent and verdicts[2].consistent
+    assert ts.beliefs == {0: 0.0, 1: 1.0, 2: 1.0}
 
 
-def test_step_trust_all_observers_are_independent():
-    ids = [0, 1, 2]
-    cfg = ConsistencyConfig()
-    payloads = {i: right_window(agent_id=i) for i in ids}
-    actions = {i: Action.DOWN for i in ids}
+def test_an_unheard_sender_has_no_belief_and_is_never_judged(tmp_path, monkeypatch):
+    # the golden sweep's cutoff topology: nobody hears agent 0, the adversary
+    kind, edges = TOPOLOGIES["cutoff"]
+    path = tmp_path / "cutoff.ini"
+    path.write_text(BASE.format(steps=15) + f"[comms]\ntopology = {kind}\nedges = {edges}\n")
+    cfg = parse_config(str(path))
+    judged = []
 
-    full = {i: init_trust(i, ids) for i in ids}
-    heard = {i: tuple(j for j in ids if j != i) for i in ids}
-    step_trust_all(full, payloads, heard, actions, cfg, ORACLE)
+    def recording_check(oracle, payload, action, consistency):
+        judged.append(payload.agent_id)
+        return consistency_check(oracle, payload, action, consistency)
 
-    solo = {1: init_trust(1, ids)}
-    step_trust_all(solo, payloads, {1: heard[1]}, actions, cfg, ORACLE)
-    assert solo[1].beliefs == full[1].beliefs
-    assert solo[1].counts == full[1].counts
+    monkeypatch.setattr(trust, "consistency_check", recording_check)
+    for seed in cfg.seeds:
+        for entry in run_episode(cfg, seed).steps:
+            assert sorted(entry.beliefs) == sorted(entry.verdicts) == [1, 2, 3]
+    assert judged and 0 not in judged
+    assert len(judged) % 3 == 0  # each heard sender once per simulated step
 
 
 def test_step_trust_all_requires_sender_actions():
-    states = {0: init_trust(0, [0, 1])}
+    ts = init_trust([1])
     payloads = {1: right_window(agent_id=1)}
     with pytest.raises(KeyError):
-        step_trust_all(
-            states, payloads, {0: (1,)}, {0: Action.STAY}, ConsistencyConfig(), ORACLE
-        )
+        step_trust_all(ts, payloads, {0: Action.STAY}, ConsistencyConfig(), ORACLE)
 
 
 def test_step_trust_all_no_message_no_change():
-    states = {0: init_trust(0, [0, 1])}
-    step_trust_all(states, {}, {0: ()}, {}, ConsistencyConfig(), ORACLE)
-    assert states[0].t == 2
-    assert states[0].beliefs[1] == 1.0
-    assert states[0].counts[1] == [0, 0]
+    ts = init_trust([])
+    assert step_trust_all(ts, {}, {}, ConsistencyConfig(), ORACLE) == {}
+    assert ts.t == 2
+    assert ts.beliefs == {} and ts.counts == {}
 
 
 def test_gate_messages_threshold_rule():
-    ts = init_trust(0, [0, 1, 2])
+    ts = init_trust([1, 2])
     ts.beliefs[1] = 0.3
     inbox = (right_window(agent_id=1), right_window(agent_id=2))
     kept = gate_messages(ts, inbox, tau=0.5)
@@ -298,7 +314,7 @@ def test_gate_messages_threshold_rule():
 
 
 def test_gate_messages_bernoulli_samples_by_belief():
-    ts = init_trust(0, [0, 1])
+    ts = init_trust([1])
     ts.beliefs[1] = 0.25
     inbox = (right_window(agent_id=1),)
     with pytest.raises(ValueError):
