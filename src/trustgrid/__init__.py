@@ -43,10 +43,8 @@ from .harness import (
 )
 from .metrics import ConfusionCounts, EpisodeSummary, StepLog, classify_step, f1, summarize
 from .policies import (
-    ActionDistribution,
     AdversaryStrategy,
     ValueOracleConfig,
-    action_distribution,
     action_values,
     greedy_action,
 )
@@ -63,7 +61,6 @@ from .trust import (
     kl_score,
     step_trust_all,
     update_belief,
-    value_gap,
 )
 
 __version__ = "0.1.0"

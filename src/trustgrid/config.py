@@ -90,10 +90,6 @@ class ScenarioConfig:
             )
         if self.mode is DefenseMode.ADV_NODEF and not adversaries:
             raise ConfigError("defense.mode = adv_nodef needs at least one adversary")
-        if self.consistency.mode is ConsistencyMode.KL and self.consistency.kl_threshold is None:
-            raise ConfigError(
-                "defense.kl_threshold is required when defense.consistency = kl"
-            )
         taken = set()
         for spec in self.roster:
             if spec.start is not None:
@@ -113,24 +109,6 @@ class ScenarioConfig:
     def gating_enabled(self) -> bool:
         return self.mode is DefenseMode.TOM
 
-
-_SECTION_KEYS = {
-    "grid": {"width", "height"},
-    "episode": {"steps", "seeds"},
-    "oracle": {"gamma", "horizon", "radius"},
-    "defense": {
-        "mode",
-        "consistency",
-        "rho",
-        "kl_threshold",
-        "temperature",
-        "s",
-        "tau",
-        "gating",
-    },
-    "comms": {"topology", "edges"},
-    "roster": {"agents", "adversaries", "falsification", "acting", "starts"},
-}
 
 _DEFAULTS: dict[str, str] = {
     "grid.width": "10",
@@ -156,6 +134,9 @@ _DEFAULTS: dict[str, str] = {
     "roster.acting": "naive",
     "roster.starts": "",
 }
+
+# the plain sections; each may set the keys its dotted names above list
+_SECTIONS = {dotted.partition(".")[0] for dotted in _DEFAULTS}
 
 _ENUMS = {
     "defense.mode": {m.value: m for m in DefenseMode},
@@ -335,15 +316,21 @@ def load_scenarios(path: str) -> dict[str, ScenarioConfig]:
     base = dict(_DEFAULTS)
     scenario_sections: dict[str, dict[str, str]] = {}
     for section in parser.sections():
-        if section in _SECTION_KEYS:
+        if section in _SECTIONS:
             for key, value in parser.items(section):
-                if key not in _SECTION_KEYS[section]:
+                dotted = f"{section}.{key}"
+                if dotted not in _DEFAULTS:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                base[f"{section}.{key}"] = value
+                base[dotted] = value
         elif section.startswith("scenario."):
             name = section[len("scenario."):]
             if not name:
                 raise ConfigError("scenario section needs a name: [scenario.NAME]")
+            if "/" in name or "\\" in name:
+                # the name becomes an artifact file name inside --out
+                raise ConfigError(
+                    f"scenario name in [{section}] must not contain '/' or '\\'"
+                )
             overrides = {}
             for key, value in parser.items(section):
                 if key not in _DEFAULTS:

@@ -9,7 +9,6 @@ values and the derived greedy action.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -46,24 +45,6 @@ class AdversaryStrategy(Enum):
 
     NAIVE = "naive"  # greedy on its own truthful view
     CONSISTENT_LIAR = "consistent_liar"  # greedy on the view it transmitted
-
-
-@dataclass(frozen=True)
-class ActionDistribution:
-    """Probability per action, aligned with the ``Action`` order."""
-
-    probs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.probs) != len(Action):
-            raise ValueError(f"need {len(Action)} probabilities, got {len(self.probs)}")
-        if any(p < 0.0 for p in self.probs):
-            raise ValueError("probabilities must be non-negative")
-        if abs(sum(self.probs) - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {sum(self.probs)!r}, not 1")
-
-    def __getitem__(self, action: Action) -> float:
-        return self.probs[action]
 
 
 @lru_cache(maxsize=None)
@@ -210,19 +191,6 @@ def greedy_action(obs: Observation, cfg: ValueOracleConfig) -> Action:
     """Argmax action; ties go to the earliest action in the fixed order."""
     values = action_values(obs, cfg)
     return Action(values.index(max(values)))
-
-
-def action_distribution(
-    obs: Observation, temperature: float, cfg: ValueOracleConfig
-) -> ActionDistribution:
-    """Softmax over action values. Invariant to shifting all values equally."""
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    values = action_values(obs, cfg)
-    top = max(values)
-    weights = [math.exp((v - top) / temperature) for v in values]
-    total = sum(weights)
-    return ActionDistribution(tuple(w / total for w in weights))
 
 
 def clear_value_cache() -> None:

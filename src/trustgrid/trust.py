@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .env import Observation
-from .policies import (
-    Action,
-    ValueOracleConfig,
-    action_distribution,
-    action_values,
-    greedy_action,
-)
+from .policies import Action, ValueOracleConfig, action_values
 
 # Belief step multiplier: one inconsistent verdict early in an episode is
 # enough to collapse belief from 1.0 to the floor.
@@ -62,6 +56,8 @@ class ConsistencyConfig:
             )
         if self.temperature <= 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if self.mode is ConsistencyMode.KL and self.kl_threshold is None:
+            raise ValueError("kl_threshold is required when defense.consistency = kl")
 
 
 @dataclass(frozen=True)
@@ -99,14 +95,23 @@ def init_trust(senders: Iterable[int], s: float = DEFAULT_STEP_MULTIPLIER) -> Tr
     )
 
 
-def value_gap(
-    payload: Observation, observed: Action, oracle: ValueOracleConfig
-) -> float:
-    """How much worse the observed action scores than the observer's best,
-    both evaluated on the claimed observation. Zero for a value-tied action
-    even when it is not the canonical tie-break choice."""
-    values = action_values(payload, oracle)
-    return max(values) - values[observed]
+def _surprise(values: tuple[float, ...], observed: Action, temperature: float) -> float:
+    """KL surprise of ``observed`` under a softmax over one value row; see
+    ``kl_score``. The canonical action is the row's first maximum."""
+    top = max(values)
+    canonical = values.index(top)
+    if observed == canonical:
+        return 0.0
+    # shifted by the top value, so the softmax cannot overflow
+    weights = [math.exp((v - top) / temperature) for v in values]
+    total = sum(weights)
+    p_canon = weights[canonical] / total
+    p_obs = weights[observed] / total
+    if p_canon == p_obs:
+        return 0.0
+    if p_obs == 0.0:
+        return math.inf
+    return (p_canon - p_obs) * math.log(p_canon / p_obs)
 
 
 def kl_score(
@@ -117,25 +122,18 @@ def kl_score(
 ) -> float:
     """Surprise of the observed action under a softmax policy.
 
-    Compares the softmax distribution on the claimed observation against the
-    same distribution with the probabilities of the canonical and observed
-    actions swapped; only those two actions contribute. Exactly 0.0 when the
-    observed action is the canonical one or ties it in probability, and
-    infinite when the observed action's probability underflows to 0.0.
+    Compares the softmax over the claimed observation's action values
+    against the same distribution with the probabilities of the canonical
+    (first-max) and observed actions swapped; only those two actions
+    contribute. Exactly 0.0 when the observed action is the canonical one
+    or ties it in probability, and infinite when the observed action's
+    probability underflows to 0.0.
     """
+    if temperature <= 0.0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
     if oracle is None:
         oracle = ValueOracleConfig()
-    canonical = greedy_action(payload, oracle)
-    if observed == canonical:
-        return 0.0
-    dist = action_distribution(payload, temperature, oracle)
-    p_canon = dist[canonical]
-    p_obs = dist[observed]
-    if p_canon == p_obs:
-        return 0.0
-    if p_obs == 0.0:
-        return math.inf
-    return (p_canon - p_obs) * math.log(p_canon / p_obs)
+    return _surprise(action_values(payload, oracle), observed, temperature)
 
 
 def calibrate_kl_threshold(
@@ -165,23 +163,24 @@ def consistency_check(
 ) -> Verdict:
     """Judge a peer's claim against the action the peer was seen to take.
 
-    The claimed observation is evaluated with the shared oracle, so the
-    verdict is the same for every observer; the reported score is the
-    value gap (or the KL surprise in KL mode).
+    Every mode reads one value row, the shared oracle's values on the
+    claimed observation, so the verdict is the same for every observer.
+    The anticipated action is the row's first maximum. The score is the
+    value gap ``max(values) - values[observed]`` in ``exact_match`` and
+    ``value_threshold`` modes, and the KL surprise from the same row in
+    ``kl`` mode.
     """
-    if cfg.mode is ConsistencyMode.EXACT_MATCH:
-        # greedy_action's first-max tie-break, from one oracle lookup
-        values = action_values(payload, oracle)
-        top = max(values)
-        return Verdict(values.index(top) == observed_action, top - values[observed_action])
-    if cfg.mode is ConsistencyMode.VALUE_THRESHOLD:
-        gap = value_gap(payload, observed_action, oracle)
-        return Verdict(gap <= cfg.rho, gap)
+    values = action_values(payload, oracle)
     if cfg.mode is ConsistencyMode.KL:
-        if cfg.kl_threshold is None:
-            raise ValueError("KL consistency requires a calibrated threshold")
-        score = kl_score(payload, observed_action, cfg.temperature, oracle)
+        score = _surprise(values, observed_action, cfg.temperature)
         return Verdict(score <= cfg.kl_threshold, score)
+    top = max(values)
+    gap = top - values[observed_action]
+    if cfg.mode is ConsistencyMode.EXACT_MATCH:
+        # greedy_action's first-max tie-break
+        return Verdict(values.index(top) == observed_action, gap)
+    if cfg.mode is ConsistencyMode.VALUE_THRESHOLD:
+        return Verdict(gap <= cfg.rho, gap)
     raise ValueError(f"unknown consistency mode {cfg.mode!r}")
 
 

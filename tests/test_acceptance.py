@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from oracles import enumeration_values, kl_surprise, replay_beliefs, ternary_windows
+from oracles import enumeration_values, kl_surprise, replay_beliefs, softmax, ternary_windows
 from trustgrid.comms import (
     AgentSpec,
     CommGraph,
@@ -27,13 +27,7 @@ from trustgrid.config import DefenseMode, ScenarioConfig, load_scenarios, parse_
 from trustgrid.env import Action, Observation, step
 from trustgrid.harness import run_episode, run_scenario, write_artifact
 from trustgrid.metrics import ConfusionCounts, classify_step, f1
-from trustgrid.policies import (
-    AdversaryStrategy,
-    ValueOracleConfig,
-    action_distribution,
-    action_values,
-    greedy_action,
-)
+from trustgrid.policies import AdversaryStrategy, ValueOracleConfig, action_values, greedy_action
 from trustgrid.trust import (
     ConsistencyConfig,
     ConsistencyMode,
@@ -428,7 +422,7 @@ def test_criterion_6_kl_calibration_matches_recomputation(capsys):
             [rng.choice((0, 0, 1, 1, 2)) for _ in range(5)] for _ in range(5)
         ]
         payload = Observation(0, (2, 2), np.array(rows, dtype=np.int8), 0)
-        probs = action_distribution(payload, 1.0, oracle).probs
+        probs = softmax(list(action_values(payload, oracle)), 1.0)
         observed = Action(rng.choices(range(len(probs)), weights=probs)[0])
         samples.append((payload, observed))
 
@@ -442,7 +436,7 @@ def test_criterion_6_kl_calibration_matches_recomputation(capsys):
     equal_pairs = 0
     zero_violations = 0
     for payload, observed in samples:
-        probs = action_distribution(payload, 1.0, oracle).probs
+        probs = softmax(list(action_values(payload, oracle)), 1.0)
         canonical = max(Action, key=lambda a: (probs[a], -a))
         if probs[observed] == probs[canonical]:
             equal_pairs += 1

@@ -106,6 +106,8 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "[defense]\nconsistency = kl\nkl_threshold = nan\n",
         "[defense]\nconsistency = kl\nkl_threshold = 0.1\ntemperature = nan\n",
         "[defense]\nconsistency = kl\nkl_threshold = 0.1\ntemperature = inf\n",
+        BASE + "[scenario.../escaped]\n",
+        BASE + "[scenario.a/b]\n",
     ],
     ids=[
         "narrow_grid",
@@ -119,15 +121,19 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "nan_kl_threshold",
         "nan_temperature",
         "inf_temperature",
+        "scenario_name_escapes_out",
+        "scenario_name_has_a_slash",
     ],
 )
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, body):
     out = tmp_path / "x"
-    code = main(["--config", write(tmp_path, body), "--out", str(out)])
+    config = write(tmp_path, body)
+    code = main(["--config", config, "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert not out.exists()
+    # nothing is written, inside --out or beside it
+    assert [str(p) for p in tmp_path.iterdir()] == [config]
 
 
 def test_missing_config_file_is_a_usage_error(tmp_path):
@@ -208,6 +214,31 @@ def test_engine_error_is_a_runtime_failure(tmp_path, capsys, monkeypatch, error)
     assert err.startswith("error: ") and "engine fault" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "default.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError(), MemoryError("Unable to allocate 7.28 TiB for an array")],
+    ids=["bare", "numpy"],
+)
+def test_running_out_of_memory_is_a_runtime_failure(tmp_path, capsys, monkeypatch, error):
+    def failing_run(cfg):
+        raise error
+
+    monkeypatch.setattr("trustgrid.cli.run_scenario", failing_run)
+    code = main(["--config", write(tmp_path, BASE), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert str(error) in err
+    assert not (tmp_path / "out" / "default.csv").exists()
+
+
+def test_kl_without_a_threshold_names_the_key(tmp_path, capsys):
+    body = BASE + "[defense]\nconsistency = kl\n"
+    assert main(["--config", write(tmp_path, body), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: defense.kl_threshold is required when defense.consistency = kl\n"
 
 
 def test_kl_mode_with_an_underflowing_softmax_runs(tmp_path, capsys):

@@ -235,6 +235,9 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[physics]\ngravity = 9.8\n", "unknown section"),
         ("[scenario.x]\ngrid.depth = 3\n", "unknown key"),
         ("[scenario.]\ngrid.width = 3\n", "needs a name"),
+        ("[scenario.../escaped]\n", r"\[scenario\.\.\./escaped\] must not contain"),
+        ("[scenario.a/b]\n", r"\[scenario\.a/b\] must not contain"),
+        ("[scenario.a\\b]\n", r"\[scenario\.a\\b\] must not contain"),
         ("[episode]\nseeds =\n", "at least one seed"),
         ("[episode]\nseeds = 1,1\n", "duplicate seed"),
         ("[oracle]\nhorizon = 0\n", r"oracle\.horizon must be >= 1"),

@@ -1,4 +1,4 @@
-"""Value oracle, greedy policy, softmax distribution."""
+"""Value oracle and greedy policy."""
 
 from __future__ import annotations
 
@@ -11,9 +11,7 @@ from oracles import dp_values, enumeration_values
 from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
 from trustgrid.policies import (
     MAX_HORIZON,
-    ActionDistribution,
     ValueOracleConfig,
-    action_distribution,
     action_values,
     greedy_action,
 )
@@ -111,46 +109,6 @@ def test_value_upper_bound_and_argmax_property():
         for action in Action:
             if action < best:
                 assert values[action] < values[best]
-
-
-def test_action_distribution_uniform_on_ties():
-    obs = window_obs([[CELL_COVERED] * 5 for _ in range(5)])
-    dist = action_distribution(obs, temperature=1.0, cfg=ValueOracleConfig())
-    assert dist.probs == (0.2,) * 5
-
-
-def test_action_distribution_concentrates_at_low_temperature():
-    rows = [[CELL_COVERED] * 3 for _ in range(3)]
-    rows[1][2] = CELL_UNCOVERED
-    obs = window_obs(rows, position=(1, 1))
-    cfg = ValueOracleConfig(gamma=0.9, horizon=1, radius=1)
-    dist = action_distribution(obs, temperature=1e-3, cfg=cfg)
-    assert dist[Action.RIGHT] > 0.99
-
-
-def test_action_distribution_normalizes_and_shifts():
-    rng = random.Random(9)
-    cfg = ValueOracleConfig()
-    for _ in range(30):
-        obs = window_obs(random_window(rng, 5))
-        dist = action_distribution(obs, temperature=0.7, cfg=cfg)
-        assert abs(sum(dist.probs) - 1.0) <= 1e-12
-        assert all(p > 0.0 for p in dist.probs)
-
-
-def test_action_distribution_rejects_bad_temperature():
-    obs = window_obs([[CELL_COVERED] * 5 for _ in range(5)])
-    with pytest.raises(ValueError):
-        action_distribution(obs, temperature=0.0, cfg=ValueOracleConfig())
-
-
-def test_action_distribution_validates_probabilities():
-    with pytest.raises(ValueError):
-        ActionDistribution((0.5, 0.5, 0.5, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        ActionDistribution((1.0, -0.1, 0.05, 0.05, 0.0))
-    with pytest.raises(ValueError):
-        ActionDistribution((1.0, 0.0))
 
 
 def test_values_are_deterministic_across_equal_observations():

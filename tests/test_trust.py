@@ -8,18 +8,13 @@ import random
 import numpy as np
 import pytest
 
-from oracles import kl_surprise, replay_beliefs
+from oracles import kl_surprise, replay_beliefs, softmax
 from test_golden import BASE, TOPOLOGIES
 from trustgrid import policies, trust
 from trustgrid.config import parse_config
 from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
 from trustgrid.harness import run_episode
-from trustgrid.policies import (
-    ValueOracleConfig,
-    action_distribution,
-    action_values,
-    greedy_action,
-)
+from trustgrid.policies import ValueOracleConfig, action_values, greedy_action
 from trustgrid.trust import (
     ConsistencyConfig,
     ConsistencyMode,
@@ -32,7 +27,6 @@ from trustgrid.trust import (
     kl_score,
     step_trust_all,
     update_belief,
-    value_gap,
 )
 
 ORACLE = ValueOracleConfig(gamma=0.9, horizon=1, radius=1)
@@ -76,8 +70,9 @@ def test_value_gap_zero_for_value_ties():
     rows[1][0] = CELL_UNCOVERED
     rows[1][2] = CELL_UNCOVERED
     obs = window_obs(rows)
-    assert value_gap(obs, Action.LEFT, ORACLE) == 0.0
-    assert value_gap(obs, Action.RIGHT, ORACLE) == 0.0
+    cfg = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
+    assert consistency_check(ORACLE, obs, Action.LEFT, cfg) == Verdict(True, 0.0)
+    assert consistency_check(ORACLE, obs, Action.RIGHT, cfg) == Verdict(True, 0.0)
     assert greedy_action(obs, ORACLE) is Action.LEFT  # earlier in the order
 
 
@@ -90,7 +85,16 @@ def test_exact_match_verdicts():
     assert verdict.score == 1.0
 
 
-def test_exact_match_reads_the_oracle_once_per_verdict(monkeypatch):
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH),
+        ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1),
+        ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=0.1),
+    ],
+    ids=lambda cfg: cfg.mode.value,
+)
+def test_every_mode_reads_the_oracle_once_per_verdict(monkeypatch, cfg):
     calls = []
 
     def counting_values(obs, oracle):
@@ -100,7 +104,6 @@ def test_exact_match_reads_the_oracle_once_per_verdict(monkeypatch):
     # both modules' names, so a lookup through greedy_action counts too
     monkeypatch.setattr(policies, "action_values", counting_values)
     monkeypatch.setattr(trust, "action_values", counting_values)
-    cfg = ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH)
     obs = right_window()
     for action in Action:
         before = len(calls)
@@ -137,10 +140,10 @@ def test_value_threshold_verdicts():
         [CELL_COVERED, CELL_COVERED, CELL_UNCOVERED],
     ]
     obs2 = window_obs(rows)
-    gap_up = value_gap(obs2, Action.UP, cfg3)
-    assert 0.0 < gap_up <= 0.1  # 1.9 down the right column vs 1.81 going up first
     near = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1)
-    assert consistency_check(cfg3, obs2, Action.UP, near).consistent
+    up = consistency_check(cfg3, obs2, Action.UP, near)
+    assert 0.0 < up.score <= 0.1  # 1.9 down the right column vs 1.81 going up first
+    assert up.consistent
     assert not consistency_check(
         cfg3, obs2, Action.DOWN, near
     ).consistent
@@ -169,10 +172,8 @@ def test_consistency_config_validation():
         ConsistencyConfig(kl_threshold=-1.0)
     with pytest.raises(ValueError):
         ConsistencyConfig(temperature=0.0)
-    with pytest.raises(ValueError):
-        consistency_check(
-            ORACLE, right_window(), Action.UP, ConsistencyConfig(mode=ConsistencyMode.KL)
-        )
+    with pytest.raises(ValueError, match="kl_threshold is required"):
+        ConsistencyConfig(mode=ConsistencyMode.KL)
 
 
 def test_count_updates():
@@ -332,6 +333,14 @@ def test_gate_messages_bernoulli_samples_by_belief():
     assert gate_messages(ts, inbox, tau=0.5, mode=GatingMode.BERNOULLI, rng=rng) == ()
 
 
+def test_kl_score_rejects_bad_temperature():
+    # for the canonical action too, whose score needs no softmax
+    for action in (Action.RIGHT, Action.DOWN):
+        for temperature in (0.0, -1.0):
+            with pytest.raises(ValueError, match="temperature"):
+                kl_score(right_window(), action, temperature, ORACLE)
+
+
 def test_kl_score_zero_cases():
     obs = right_window()
     assert kl_score(obs, Action.RIGHT, 1.0, ORACLE) == 0.0
@@ -372,7 +381,7 @@ def test_kl_mode_verdicts_respect_threshold():
 def test_kl_score_is_infinite_when_the_softmax_underflows():
     obs = right_window()
     # at temperature 0.001 a value gap of 1 weighs exp(-1000), which is 0.0
-    assert action_distribution(obs, 0.001, ORACLE)[Action.DOWN] == 0.0
+    assert softmax(list(action_values(obs, ORACLE)), 0.001)[Action.DOWN] == 0.0
     assert kl_score(obs, Action.DOWN, 0.001, ORACLE) == math.inf
     cfg = ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=0.1, temperature=0.001)
     verdict = consistency_check(ORACLE, obs, Action.DOWN, cfg)
