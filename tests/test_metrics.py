@@ -49,9 +49,6 @@ def test_classify_fresh_states_miss_the_adversary():
     assert confusion[3] == ConfusionCounts(tp=0, tn=2, fp=0, fn=1)
     # the adversary observes three cooperators
     assert confusion[0] == ConfusionCounts(tp=0, tn=3, fp=0, fn=0)
-    # each observer's counts cover exactly the peers it hears, never itself
-    for observer, counts in confusion.items():
-        assert counts.total() == len(ROLES) - 1, observer
 
 
 def test_classify_collapsed_belief_is_a_true_positive():
@@ -83,6 +80,12 @@ def test_classify_respects_heard_restriction():
     confusion = classify_step(ts, ROLES, tau=0.5, heard=heard)
     assert confusion == {1: ConfusionCounts(tp=0, tn=2, fp=0, fn=0)}
     assert confusion[1].total() == len(heard[1])
+
+
+def test_classify_never_counts_self():
+    confusion = classify_step(state_with({}), ROLES, tau=0.5, heard=HEARD)
+    for observer, counts in confusion.items():
+        assert counts.total() == len(ROLES) - 1, observer
 
 
 def test_f1_values():
