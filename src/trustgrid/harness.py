@@ -15,7 +15,7 @@ import os
 import random
 import statistics
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
@@ -134,8 +134,10 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     for a consistent verdict and 0.0 for an inconsistent one, and the
     beliefs equal those that gated the step. No later step can then change
     a view, payload, gated inbox, action, verdict or belief, so each later
-    step only advances the environment and repeats the frozen step's log
-    under its own step number and rewards.
+    step only advances the environment and appends the frozen step's log
+    itself. That is exact: no agent moved at the frozen step, so all its
+    rewards were 0, and each later step repeats the same actions from the
+    same cells, so it earns the same all-zero rewards at the same coverage.
     """
     cfg.validate()
     state = reset(cfg, seed)
@@ -154,8 +156,8 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     frozen = False
     for _ in range(cfg.steps):
         if frozen:
-            state, rewards = step(state, actions)
-            steps.append(replace(steps[-1], step=state.t, rewards=rewards))
+            state, _ = step(state, actions)
+            steps.append(steps[-1])
             continue
         views = {i: observe(state, i, radius) for i in ids}
         payloads = transmit(views, roster, comms_rng, (cfg.width, cfg.height))
@@ -189,7 +191,6 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
         )
         steps.append(
             StepLog(
-                step=state.t,
                 coverage=coverage_fraction(state),
                 rewards=rewards,
                 beliefs=beliefs,
@@ -203,14 +204,6 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
 def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
     cfg.validate()
     return RunArtifact(config=cfg, episodes=[run_episode(cfg, s) for s in cfg.seeds])
-
-
-def _fmt(value: float | int) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    return "%.9g" % value
 
 
 def _round_sig(value):
@@ -329,9 +322,11 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
     CSV: one row per (episode, step, observer, heard peer). belief and
     verdict are the peer's, the same on every row that names it; tp/tn/fp/fn
     and f1 are the observer's counts for that step, so each row's counts sum
-    to the observer's received-message count. Floats use 9 significant
-    digits everywhere. Both files are written in full before either
-    replaces an earlier run's.
+    to the observer's received-message count. A step's number is its log's
+    position in the episode; the rows after the prefix are formatted once
+    per distinct log and repeated for each frozen step that holds it.
+    Floats use 9 significant digits everywhere. Both files are written in
+    full before either replaces an earlier run's.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = artifact.config
@@ -342,21 +337,23 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
         fh.write(CSV_HEADER + "\n")
         observers = sorted(heard)
         for ep in artifact.episodes:
-            for entry in ep.steps:
-                prefix = f"{entry.step},{ep.seed},{_fmt(entry.coverage)},"
-                rows = []
-                for observer in observers:
-                    counts = entry.confusion[observer]
-                    tail = (
-                        f",{counts.tp},{counts.tn},{counts.fp},{counts.fn},"
-                        f"{_fmt(f1(counts))}\n"
-                    )
-                    for peer in heard[observer]:
-                        rows.append(
-                            f"{prefix}{observer},{peer},{_fmt(entry.beliefs[peer])},"
-                            f"{_fmt(entry.verdicts[peer])}{tail}"
+            last = None
+            for t, entry in enumerate(ep.steps, 1):
+                if entry is not last:
+                    last, rows = entry, []
+                    for observer in observers:
+                        counts = entry.confusion[observer]
+                        tail = (
+                            f",{counts.tp},{counts.tn},{counts.fp},{counts.fn},"
+                            f"{f1(counts):.9g}\n"
                         )
-                fh.write("".join(rows))
+                        for peer in heard[observer]:
+                            rows.append(
+                                f"{observer},{peer},{entry.beliefs[peer]:.9g},"
+                                f"{entry.verdicts[peer]:d}{tail}"
+                            )
+                prefix = f"{t},{ep.seed},{entry.coverage:.9g},"
+                fh.write("".join([prefix + row for row in rows]))
 
     def write_json(fh: TextIO) -> None:
         json.dump(_round_sig(artifact_summary(artifact)), fh, indent=2, sort_keys=True)

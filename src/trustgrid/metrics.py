@@ -27,9 +27,9 @@ class ConfusionCounts:
 
 @dataclass(frozen=True)
 class StepLog:
-    """Everything one step contributes to metrics, after the trust update."""
+    """Everything one step contributes to metrics, after the trust update.
+    Its step number is its 1-based position in the episode's log list."""
 
-    step: int
     coverage: float
     rewards: dict[int, int]
     beliefs: dict[int, float]  # heard sender -> belief, shared by its hearers
@@ -102,11 +102,6 @@ def summarize(steps: list[StepLog], roles: dict[int, Role]) -> EpisodeSummary:
     """Collapse a full step log into per-episode timelines and totals."""
     if not steps:
         raise ValueError("cannot summarize an empty episode log")
-    for idx, entry in enumerate(steps):
-        if entry.step != idx + 1:
-            raise ValueError(
-                f"truncated episode log: expected step {idx + 1}, got {entry.step}"
-            )
     coverage = tuple(entry.coverage for entry in steps)
     totals: dict[int, int] = {i: 0 for i in sorted(roles)}
     for entry in steps:

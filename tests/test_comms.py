@@ -168,27 +168,37 @@ def test_falsify_position_spoof_prefers_distant_cells():
 
 
 def test_falsify_position_spoof_recenters_the_window():
-    # sender truly at (0,0) with an all-uncovered right column
+    # sender truly at (0,0); (1,0) is covered and (0,1) is not, so a
+    # transposed lookup into the real window shows
     rows = [
         [CELL_OOB, CELL_OOB, CELL_OOB],
-        [CELL_OOB, CELL_COVERED, CELL_UNCOVERED],
+        [CELL_OOB, CELL_COVERED, CELL_COVERED],
         [CELL_OOB, CELL_UNCOVERED, CELL_UNCOVERED],
     ]
     obs = window_obs(rows, position=(0, 0))
-    rng = random.Random(0)
-    out = falsify(obs, FalsificationStrategy.POSITION_SPOOF, rng, (6, 6))
-    fx, fy = out.position
-    assert 0 <= fx < 6 and 0 <= fy < 6
-    for row in range(3):
-        for col in range(3):
-            gx, gy = fx + col - 1, fy + row - 1
-            if not (0 <= gx < 6 and 0 <= gy < 6):
-                assert out.local_map[row, col] == CELL_OOB
-            elif abs(gx) <= 1 and abs(gy) <= 1:
-                # overlaps the sender's real window: true knowledge reused
-                assert out.local_map[row, col] == rows[gy + 1][gx + 1]
-            else:
-                assert out.local_map[row, col] == CELL_COVERED
+    checked = {"oob": 0, "reused": 0, "covered": 0}
+    # Random(0) puts the fake window wholly inside the 6x6 grid and apart
+    # from the real one; on the 2x2 grid it overlaps both the edge and the
+    # whole real window, covered and uncovered cells alike
+    for size in (6, 2):
+        rng = random.Random(0)
+        out = falsify(obs, FalsificationStrategy.POSITION_SPOOF, rng, (size, size))
+        fx, fy = out.position
+        assert 0 <= fx < size and 0 <= fy < size
+        for row in range(3):
+            for col in range(3):
+                gx, gy = fx + col - 1, fy + row - 1
+                if not (0 <= gx < size and 0 <= gy < size):
+                    checked["oob"] += 1
+                    assert out.local_map[row, col] == CELL_OOB
+                elif abs(gx) <= 1 and abs(gy) <= 1:
+                    # overlaps the sender's real window: true knowledge reused
+                    checked["reused"] += 1
+                    assert out.local_map[row, col] == rows[gy + 1][gx + 1]
+                else:
+                    checked["covered"] += 1
+                    assert out.local_map[row, col] == CELL_COVERED
+    assert all(checked.values()), checked
 
 
 def test_transmit_orders_stream_by_agent_id():

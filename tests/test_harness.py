@@ -241,6 +241,17 @@ def simulated_steps(log, ep):
     return points.index(True) + 1 if True in points else len(points)
 
 
+def assert_frozen_tail(log, ep, simulated):
+    """Every step after the episode's first fixed point holds that step's
+    log itself, whose rewards are all 0, and the environment pays each of
+    those steps exactly those rewards."""
+    frozen = ep.steps[simulated - 1]
+    assert all(entry is frozen for entry in ep.steps[simulated:])
+    assert set(frozen.rewards.values()) == {0}
+    for before, _, actions in log[simulated:]:
+        assert step(before, actions)[1] == frozen.rewards
+
+
 def episode_logs(log):
     """Splits a ``record_steps`` log of a whole run into its episodes."""
     out = []
@@ -287,6 +298,7 @@ def test_each_step_observes_each_agent_and_judges_each_heard_sender_once(
     assert len(log) == cfg.steps
     simulated = simulated_steps(log, ep)
     assert 0 < simulated < cfg.steps  # the episode freezes part-way
+    assert_frozen_tail(log, ep, simulated)
     assert observed == [t for t in range(simulated) for _ in cfg.roster]
     senders = {j for i in cfg.agent_ids() for j in cfg.topology.neighbors(i)}
     assert len(senders) == heard_senders
@@ -529,6 +541,7 @@ def test_bernoulli_gating_draws_once_per_message_every_step(tmp_path, monkeypatc
     ep = run_episode(cfg, seed)
     simulated = simulated_steps(log, ep)
     assert simulated < cfg.steps
+    assert_frozen_tail(log, ep, simulated)
     cooperative = sum(spec.role is Role.COOPERATIVE for spec in cfg.roster)
     assert len(draws) == cooperative * simulated
     replay = random.Random(f"gate:{seed}")
@@ -628,23 +641,24 @@ def test_artifact_files_are_complete_and_stable(tmp_path):
 def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, failing):
     cfg = config_from(tmp_path, ARTIFACT_RUN)
     out = tmp_path / "out"
-    real_fmt = harness._fmt
+    real_f1 = harness.f1
     calls = 0
 
-    def failing_fmt(value):
-        # raises part-way through the CSV rows
+    def failing_f1(counts):
+        # raises part-way through the CSV rows: the writer scores each
+        # observer once per distinct step log
         nonlocal calls
         calls += 1
-        if calls == 200:
+        if calls == 40:
             raise RuntimeError("disk gone")
-        return real_fmt(value)
+        return real_f1(counts)
 
     def failing_summary(artifact):
         raise RuntimeError("disk gone")
 
     def break_writer(patch):
         if failing == "csv":
-            patch.setattr(harness, "_fmt", failing_fmt)
+            patch.setattr(harness, "f1", failing_f1)
         else:
             patch.setattr(harness, "artifact_summary", failing_summary)
 
