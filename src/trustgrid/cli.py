@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, ScenarioConfig, load_scenarios
+from .config import ConfigError, ScenarioConfig, check_run_size, load_scenarios
 from .harness import run_scenario, write_artifact
 
 
@@ -22,6 +22,7 @@ def _adjust_seeds(
     if episodes is not None:
         if episodes < 1:
             raise ConfigError(f"--episodes must be at least 1, got {episodes}")
+        check_run_size(cfg.width, cfg.height, episodes, cfg.steps, len(cfg.roster))
         if episodes <= len(seeds):
             seeds = seeds[:episodes]
         else:

@@ -20,6 +20,9 @@ from .policies import AdversaryStrategy
 # Candidate cells drawn when spoofing a position; farthest (Manhattan) wins.
 POSITION_SPOOF_CANDIDATES = 8
 
+# bytes.translate table for a lure payload: every uncovered cell reads covered
+_LURE = bytes.maketrans(bytes([CELL_UNCOVERED]), bytes([CELL_COVERED]))
+
 
 class Role(Enum):
     COOPERATIVE = "cooperative"
@@ -121,8 +124,8 @@ def falsify(
 
     window = obs.local_map
     if strategy is FalsificationStrategy.LURE:
-        faked = np.where(window == CELL_UNCOVERED, CELL_COVERED, window).astype(np.int8)
-        return Observation(obs.agent_id, obs.position, faked, obs.t)
+        faked = np.frombuffer(bytearray(window.tobytes().translate(_LURE)), dtype=np.int8)
+        return Observation(obs.agent_id, obs.position, faked.reshape(window.shape), obs.t)
 
     if strategy is FalsificationStrategy.BABBLE:
         # one draw per in-grid cell, in row-major order

@@ -28,6 +28,26 @@ class ConfigError(ValueError):
     pass
 
 
+# The most grid cells, agent-steps (episodes x steps x agents) or messages
+# per step (agents x (agents - 1)) one run may ask for. Its memory and time
+# grow with each, so a larger run is refused (exit 2) before any of it is
+# allocated; the shipped arms take 100 cells and 80,000 agent-steps each.
+MAX_RUN_SIZE = 10**7
+
+
+def check_run_size(width: int, height: int, episodes: int, steps: int, agents: int) -> None:
+    """Raise ``ConfigError`` when a size exceeds ``MAX_RUN_SIZE``. A size
+    with a factor below 1 is left to ``ScenarioConfig.validate``."""
+    for what, factors in (
+        ("grid cells (grid.width x grid.height)", (width, height)),
+        ("agent-steps (episodes x episode.steps x roster.agents)", (episodes, steps, agents)),
+        ("messages per step (roster.agents x (roster.agents - 1))", (agents, agents - 1)),
+    ):
+        size = math.prod(factors)
+        if size > MAX_RUN_SIZE and min(factors) > 0:
+            raise ConfigError(f"run too large: {size} {what}, at most {MAX_RUN_SIZE}")
+
+
 class DefenseMode(Enum):
     NODEF = "nodef"  # adversary on the channel, no gating
     ADV_NODEF = "adv_nodef"  # same dynamics; the adversary's gain is the reading
@@ -68,6 +88,7 @@ class ScenarioConfig:
             )
         if not self.seeds:
             raise ConfigError("episode.seeds must name at least one seed")
+        check_run_size(self.width, self.height, len(self.seeds), self.steps, len(self.roster))
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"duplicate seed in episode.seeds: {list(self.seeds)}")
         if not 0.0 <= self.tau <= 1.0:
@@ -183,6 +204,12 @@ def parse_seeds(raw: str) -> tuple[int, ...]:
         hi = _to_int("episode.seeds", hi_s)
         if hi <= lo:
             raise ConfigError(f"episode.seeds range {raw!r} is empty")
+        if hi - lo > MAX_RUN_SIZE:
+            # every episode takes at least one agent-step
+            raise ConfigError(
+                f"run too large: episode.seeds range {raw!r} holds {hi - lo} seeds, "
+                f"at most {MAX_RUN_SIZE}"
+            )
         return tuple(range(lo, hi))
     return tuple(_to_int("episode.seeds", part) for part in raw.split(",") if part.strip())
 
@@ -253,6 +280,8 @@ def _build_scenario(name: str, values: dict[str, str]) -> ScenarioConfig:
         raise ConfigError(
             f"roster.adversaries must lie in [0, {n_agents}], got {n_adv}"
         )
+    # before the roster and topology are built
+    check_run_size(width, height, len(seeds), steps, n_agents)
     falsification = _to_enum("roster.falsification", values["roster.falsification"])
     acting = _to_enum("roster.acting", values["roster.acting"])
     starts = _parse_starts(values["roster.starts"], n_agents)

@@ -24,6 +24,20 @@ CELL_UNCOVERED = 0
 CELL_COVERED = 1
 CELL_OOB = 2  # outside the grid, neither covered nor uncovered
 
+# bytes.translate tables, one per marker, spelling a window as one binary
+# digit per cell: "1" where the cell holds that marker, "0" elsewhere
+_MARKER_DIGITS = {
+    marker: bytes(b"01"[b == marker] for b in range(256))
+    for marker in (CELL_UNCOVERED, CELL_COVERED, CELL_OOB)
+}
+
+
+def cell_mask(cells: bytes, marker: int) -> int:
+    """Bitmask of a row-major window's cells: bit i is set where
+    ``cells[i] == marker``."""
+    # reversed so that cell i is bit i
+    return int(cells.translate(_MARKER_DIGITS[marker])[::-1] or b"0", 2)
+
 
 class Action(IntEnum):
     """Movement actions. Enum order is the global tie-break order."""

@@ -26,6 +26,7 @@ from .env import (
     CELL_COVERED,
     CELL_UNCOVERED,
     Observation,
+    cell_mask,
     coverage_fraction,
     observe,
     reset,
@@ -95,10 +96,14 @@ def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Obse
     """
     if not claims:
         return own
+    cells = own.window_key()
+    free = cell_mask(cells, CELL_UNCOVERED)
+    if not free:
+        return own
     size = own.local_map.shape[0]
     x, y = own.position
     left, top = x - own.radius, y - own.radius
-    claimed = np.zeros((size, size), dtype=bool)
+    claimed = 0  # own-window bits some claim calls covered
     for payload in claims:
         span = payload.local_map.shape[0]
         px, py = payload.position
@@ -108,15 +113,21 @@ def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Obse
         c0, c1 = max(dx, 0), min(dx + span, size)
         r0, r1 = max(dy, 0), min(dy + span, size)
         if c0 < c1 and r0 < r1:
-            claimed[r0:r1, c0:c1] |= (
-                payload.local_map[r0 - dy : r1 - dy, c0 - dx : c1 - dx] == CELL_COVERED
-            )
-    claimed &= own.local_map == CELL_UNCOVERED
-    if not claimed.any():
+            covered = cell_mask(payload.window_key(), CELL_COVERED)
+            row = (1 << (c1 - c0)) - 1
+            for r in range(r0, r1):
+                # payload cells from (r - dy, c0 - dx) onto own cells from (r, c0)
+                claimed |= (covered >> ((r - dy) * span + c0 - dx) & row) << (r * size + c0)
+    landed = claimed & free
+    if not landed:
         return own
-    window = own.local_map.copy()
-    window[claimed] = CELL_COVERED
-    return Observation(own.agent_id, own.position, window, own.t)
+    window = bytearray(cells)
+    while landed:
+        low = landed & -landed
+        window[low.bit_length() - 1] = CELL_COVERED
+        landed ^= low
+    local_map = np.frombuffer(window, dtype=np.int8).reshape(size, size)
+    return Observation(own.agent_id, own.position, local_map, own.t)
 
 
 def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:

@@ -104,12 +104,18 @@ def summarize(steps: list[StepLog], roles: dict[int, Role]) -> EpisodeSummary:
         raise ValueError("cannot summarize an empty episode log")
     coverage = tuple(entry.coverage for entry in steps)
     totals: dict[int, int] = {i: 0 for i in sorted(roles)}
+    f1_timeline = []
+    last = None
     for entry in steps:
         for agent, reward in entry.rewards.items():
             totals[agent] += reward
+        # frozen steps repeat the previous step's log object; score it once
+        if entry is not last:
+            last, score = entry, team_f1(entry.confusion, roles)
+        f1_timeline.append(score)
     return EpisodeSummary(
         coverage_timeline=coverage,
         final_coverage=coverage[-1],
-        mean_f1_timeline=tuple(team_f1(entry.confusion, roles) for entry in steps),
+        mean_f1_timeline=tuple(f1_timeline),
         reward_totals=totals,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .env import ACTION_DELTAS, CELL_OOB, CELL_UNCOVERED, Action, Observation
+from .env import ACTION_DELTAS, CELL_OOB, CELL_UNCOVERED, Action, Observation, cell_mask
 
 
 # The value recursion takes one Python frame per lookahead step; this
@@ -64,10 +64,15 @@ def _window_moves(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ..
     return tuple(moves), tuple(sum(1 << d for d in set(dests)) for dests in moves)
 
 
-# bytes.translate tables spelling a window as one binary digit per cell:
-# "1" where the cell is uncovered (or out of grid), "0" elsewhere
-_UNCOVERED_DIGITS = bytes(ord("1") if b == CELL_UNCOVERED else ord("0") for b in range(256))
-_OOB_DIGITS = bytes(ord("1") if b == CELL_OOB else ord("0") for b in range(256))
+@lru_cache(maxsize=1 << 8)
+def _edge_moves(size: int, oob: int) -> tuple[tuple[int, ...], ...]:
+    """``_window_moves(size)``'s destinations with every move onto a cell
+    in the ``oob`` bitmask (out of grid) staying put instead."""
+    moves, dest_bits = _window_moves(size)
+    return tuple(
+        tuple(idx if oob >> dest & 1 else dest for dest in dests) if bits & oob else dests
+        for idx, (dests, bits) in enumerate(zip(moves, dest_bits))
+    )
 
 
 @lru_cache(maxsize=1 << 18)
@@ -99,15 +104,8 @@ def _value_table(
     center = (size // 2) * size + (size // 2)
     moves, dest_bits = _window_moves(size)
     if CELL_OOB in cells:
-        # reversed so that cell idx is bit idx
-        oob = int(cells.translate(_OOB_DIGITS)[::-1], 2)
-        moves = [
-            tuple(idx if cells[dest] == CELL_OOB else dest for dest in dests)
-            if bits & oob
-            else dests
-            for idx, (dests, bits) in enumerate(zip(moves, dest_bits))
-        ]
-    uncovered = int(cells.translate(_UNCOVERED_DIGITS)[::-1], 2)
+        moves = _edge_moves(size, cell_mask(cells, CELL_OOB))
+    uncovered = cell_mask(cells, CELL_UNCOVERED)
     # uncovered cells one move away; out-of-grid cells are never uncovered
     near = [uncovered & bits for bits in dest_bits]
 

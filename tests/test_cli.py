@@ -168,6 +168,21 @@ def test_zero_episodes_is_rejected(tmp_path, capsys):
     assert "--episodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("episodes", ["1000000000000", "250001"])
+def test_oversized_episode_count_is_refused_before_seeds_are_built(tmp_path, capsys, episodes):
+    # BASE is 10 steps of 4 agents, so 250,001 episodes is one past the
+    # bound; 10**12 would need terabytes for the seed list alone
+    out = tmp_path / "x"
+    code = main(["--config", write(tmp_path, BASE), "--out", str(out), "--episodes", episodes])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: run too large: {int(episodes) * 40} agent-steps "
+        "(episodes x episode.steps x roster.agents), at most 10000000\n"
+    )
+    assert not out.exists()
+
+
 def test_seed_offset_shifts_every_episode(tmp_path):
     out = tmp_path / "artifacts"
     code = main(

@@ -9,6 +9,7 @@ import pytest
 
 from trustgrid.comms import CommGraph, FalsificationStrategy, Role
 from trustgrid.config import (
+    MAX_RUN_SIZE,
     ConfigError,
     DefenseMode,
     load_scenarios,
@@ -287,3 +288,33 @@ def test_scenarios_reuse_is_independent(tmp_path):
     # same file parsed twice gives equal configs
     path = write_config(tmp_path, "[episode]\nseeds = 0:3\n")
     assert parse_config(path) == parse_config(path)
+
+
+@pytest.mark.parametrize(
+    "body, pattern",
+    [
+        ("[grid]\nwidth = 1000000\nheight = 1000000\n", "1000000000000 grid cells"),
+        ("[grid]\nwidth = 1000001\n", "10000010 grid cells"),
+        ("[episode]\nseeds = 0:1000000000000\n", "holds 1000000000000 seeds"),
+        ("[episode]\nsteps = 1000000000000\n", "400000000000000 agent-steps"),
+        ("[roster]\nagents = 1000000000000\n", "agent-steps"),
+        ("[episode]\nseeds = 0:1\nsteps = 2\n[roster]\nagents = 4000\n", "messages per step"),
+    ],
+)
+def test_oversized_runs_are_refused_before_anything_is_built(tmp_path, body, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        parse_config(write_config(tmp_path, body))
+
+
+def test_the_largest_run_size_is_accepted(tmp_path):
+    # exactly MAX_RUN_SIZE cells and agent-steps: the bound is inclusive
+    side = 1000
+    assert side * side * 10 == MAX_RUN_SIZE
+    body = f"[grid]\nwidth = {side * 10}\nheight = {side}\n[episode]\nseeds = 0:{side * 5}\n"
+    body += f"steps = {side // 2}\n[roster]\nagents = 4\n"
+    cfg = parse_config(write_config(tmp_path, body))
+    assert cfg.width * cfg.height == len(cfg.seeds) * cfg.steps * len(cfg.roster) == MAX_RUN_SIZE
+    with pytest.raises(ConfigError, match="run too large"):
+        replace(cfg, width=cfg.width + 1).validate()
+    with pytest.raises(ConfigError, match="agent-steps"):
+        replace(cfg, steps=cfg.steps + 1).validate()

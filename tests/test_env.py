@@ -13,7 +13,9 @@ from trustgrid.env import (
     CELL_OOB,
     CELL_UNCOVERED,
     Action,
+    GridState,
     Observation,
+    cell_mask,
     coverage_fraction,
     observe,
     reset,
@@ -164,3 +166,32 @@ def test_state_equality_and_copy():
     assert state == twin
     twin.covered[3, 3] = True
     assert state != twin
+
+
+MARKERS = (CELL_UNCOVERED, CELL_COVERED, CELL_OOB)
+
+
+def test_cell_mask_sets_bit_i_where_cell_i_holds_the_marker():
+    cells = bytes([CELL_UNCOVERED, CELL_COVERED, CELL_OOB, CELL_UNCOVERED, CELL_OOB, CELL_COVERED])
+    assert cell_mask(cells, CELL_UNCOVERED) == 0b001001
+    assert cell_mask(cells, CELL_COVERED) == 0b100010
+    assert cell_mask(cells, CELL_OOB) == 0b010100
+    for marker in MARKERS:
+        assert cell_mask(b"", marker) == 0
+        assert cell_mask(bytes([marker]) * 81, marker) == (1 << 81) - 1
+        others = [m for m in MARKERS if m != marker]
+        assert cell_mask(bytes(others) * 40, marker) == 0
+
+
+def test_cell_mask_reads_observe_windows_in_row_major_order():
+    rng = random.Random(3)
+    covered = np.array([[rng.random() < 0.5 for _ in range(7)] for _ in range(6)])
+    state = GridState(7, 6, covered, {0: (0, 0)})
+    for x in range(7):
+        for y in range(6):
+            state.positions[0] = (x, y)
+            window = observe(state, 0, 3).local_map
+            flat = window.flatten().tolist()
+            for marker in MARKERS:
+                expected = sum(1 << i for i, cell in enumerate(flat) if cell == marker)
+                assert cell_mask(window.tobytes(), marker) == expected

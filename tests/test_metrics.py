@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from trustgrid import metrics
 from trustgrid.comms import Role
 from trustgrid.metrics import (
     ConfusionCounts,
@@ -173,3 +174,23 @@ def test_summarize_adversary_free_scores_perfect():
     summary = summarize(steps, roles)
     assert summary.mean_f1_timeline == (1.0,) * 5
     assert summary.reward_totals == {0: 5, 1: 0}
+
+
+def test_summarize_scores_a_frozen_log_once(monkeypatch):
+    # a frozen episode tail repeats its last log object; a log equal to
+    # an earlier one but not the same object is scored again
+    moving = step_log(0.2, {0: 1, 1: 1, 2: 0, 3: 0}, {i: ConfusionCounts(tp=1) for i in ROLES})
+    frozen = step_log(0.3, {i: 0 for i in ROLES}, {i: ConfusionCounts(fn=1) for i in ROLES})
+    twin = step_log(0.3, {i: 0 for i in ROLES}, {i: ConfusionCounts(fn=1) for i in ROLES})
+    calls = []
+
+    def counting_team_f1(confusion, roles):
+        calls.append(confusion)
+        return team_f1(confusion, roles)
+
+    monkeypatch.setattr(metrics, "team_f1", counting_team_f1)
+    summary = summarize([moving, frozen, frozen, frozen, twin, twin], ROLES)
+    assert calls == [moving.confusion, frozen.confusion, twin.confusion]
+    assert summary.mean_f1_timeline == (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert summary.coverage_timeline == (0.2, 0.3, 0.3, 0.3, 0.3, 0.3)
+    assert summary.reward_totals == {0: 1, 1: 1, 2: 0, 3: 0}

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 
 from oracles import dp_values, enumeration_values
-from trustgrid.env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Action, Observation
+from trustgrid import policies
+from trustgrid.env import (
+    CELL_COVERED,
+    CELL_OOB,
+    CELL_UNCOVERED,
+    Action,
+    GridState,
+    Observation,
+    observe,
+)
 from trustgrid.policies import (
     MAX_HORIZON,
     ValueOracleConfig,
@@ -164,3 +173,28 @@ def test_values_equal_the_plain_dp_bit_for_bit():
                         assert got == dp_values(rows, gamma, horizon), (
                             radius, horizon, share, gamma, rows,
                         )
+
+
+def test_every_out_of_grid_pattern_equals_the_plain_dp_bit_for_bit():
+    # A window centred on each cell of the grid shows every out-of-grid
+    # pattern a grid this small can give. Two coverage maps per pattern,
+    # and no cache clear between windows, so the move table cached for a
+    # pattern is reused on windows whose other cells differ.
+    width, height = 6, 5
+    rng = random.Random(7)
+    maps = [
+        np.array([[rng.random() < share for _ in range(width)] for _ in range(height)])
+        for share in (0.3, 0.7)
+    ]
+    hits = policies._edge_moves.cache_info().hits
+    for radius in range(1, 5):
+        for horizon in range(1, 7):
+            cfg = ValueOracleConfig(gamma=0.9, horizon=horizon, radius=radius)
+            for covered in maps:
+                for x in range(width):
+                    for y in range(height):
+                        obs = observe(GridState(width, height, covered, {0: (x, y)}), 0, radius)
+                        rows = obs.local_map.tolist()
+                        got = list(action_values(obs, cfg))
+                        assert got == dp_values(rows, cfg.gamma, horizon), (radius, horizon, x, y)
+    assert policies._edge_moves.cache_info().hits > hits
