@@ -53,6 +53,10 @@ class AgentSpec:
     acting: AdversaryStrategy = AdversaryStrategy.NAIVE
     start: tuple[int, int] | None = None
 
+    def __post_init__(self) -> None:
+        if self.role is Role.COOPERATIVE and self.falsification is not FalsificationStrategy.TRUTHFUL:
+            raise ValueError(f"cooperative agent {self.agent_id} must transmit truthfully")
+
 
 @dataclass(frozen=True)
 class CommGraph:
@@ -88,7 +92,7 @@ class CommGraph:
         return cls(tuple((i, tuple(sorted(neighbors[i]))) for i in ids))
 
     def __post_init__(self) -> None:
-        adjacency = dict(self.adjacency)
+        adjacency = {i: set(nbrs) for i, nbrs in self.adjacency}
         for i, nbrs in self.adjacency:
             for j in nbrs:
                 if j == i:
@@ -175,10 +179,7 @@ def transmit(
     """
     payloads: dict[int, Observation] = {}
     for i in sorted(roster):
-        spec = roster[i]
-        if spec.role is Role.COOPERATIVE and spec.falsification is not FalsificationStrategy.TRUTHFUL:
-            raise ValueError(f"cooperative agent {i} must transmit truthfully")
-        payloads[i] = falsify(views[i], spec.falsification, rng, grid_size)
+        payloads[i] = falsify(views[i], roster[i].falsification, rng, grid_size)
     return payloads
 
 

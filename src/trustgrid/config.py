@@ -71,6 +71,10 @@ class ScenarioConfig:
     roster: tuple[AgentSpec, ...]
     topology: CommGraph
 
+    def __post_init__(self) -> None:
+        # also runs on every dataclasses.replace, so no invalid config exists
+        self.validate()
+
     def agent_ids(self) -> tuple[int, ...]:
         return tuple(spec.agent_id for spec in self.roster)
 
@@ -103,6 +107,16 @@ class ScenarioConfig:
         if len(ids) > self.width * self.height:
             raise ConfigError(
                 f"roster.agents = {len(ids)} exceeds the {self.width * self.height} grid cells"
+            )
+        # a window wider than the grid only adds out-of-grid cells
+        radius, side = self.oracle.radius, max(self.width, self.height)
+        if radius > side:
+            raise ConfigError(f"oracle.radius = {radius} exceeds the grid's longer side {side}")
+        window = (2 * radius + 1) ** 2
+        if window > MAX_RUN_SIZE:
+            raise ConfigError(
+                f"run too large: {window} window cells ((2 x oracle.radius + 1)^2), "
+                f"at most {MAX_RUN_SIZE}"
             )
         adversaries = [s for s in self.roster if s.role is Role.SELF_INTERESTED]
         if self.mode is DefenseMode.IDEAL_COOP and adversaries:
@@ -312,7 +326,7 @@ def _build_scenario(name: str, values: dict[str, str]) -> ScenarioConfig:
             f"comms.topology must be 'complete' or 'edges', got {topology_kind!r}"
         )
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         name=name,
         width=width,
         height=height,
@@ -327,8 +341,6 @@ def _build_scenario(name: str, values: dict[str, str]) -> ScenarioConfig:
         roster=roster,
         topology=topology,
     )
-    cfg.validate()
-    return cfg
 
 
 def load_scenarios(path: str) -> dict[str, ScenarioConfig]:

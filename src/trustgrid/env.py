@@ -125,9 +125,8 @@ def reset(config: "ScenarioConfig", seed: int) -> GridState:
     """Build the initial state: agents placed, their start cells covered, t=0.
 
     Agents with a fixed start use it; the rest are placed uniformly at
-    random (seeded) on unoccupied cells. ``config`` must have passed
-    ``ScenarioConfig.validate``; an unvalidated one with more agents than
-    cells never returns.
+    random (seeded) on unoccupied cells. A ``ScenarioConfig`` is checked
+    when it is built, so it never holds more agents than cells.
     """
     width, height = config.width, config.height
     specs = sorted(config.roster, key=lambda spec: spec.agent_id)

@@ -150,7 +150,6 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     rewards were 0, and each later step repeats the same actions from the
     same cells, so it earns the same all-zero rewards at the same coverage.
     """
-    cfg.validate()
     state = reset(cfg, seed)
     comms_rng = random.Random(f"comms:{seed}")
     gate_rng = random.Random(f"gate:{seed}")
@@ -213,7 +212,6 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
 
 
 def run_scenario(cfg: ScenarioConfig) -> RunArtifact:
-    cfg.validate()
     return RunArtifact(config=cfg, episodes=[run_episode(cfg, s) for s in cfg.seeds])
 
 

@@ -214,13 +214,19 @@ def test_transmit_orders_stream_by_agent_id():
 
 
 def test_transmit_rejects_lying_cooperators():
-    bad = (
-        AgentSpec(0, Role.COOPERATIVE, falsification=FalsificationStrategy.LURE, start=(0, 0)),
-        coop(1, start=(1, 1)),
-    )
-    views = views_of(fresh_state(bad), radius=1)
     with pytest.raises(ValueError):
+        bad = (
+            AgentSpec(0, Role.COOPERATIVE, falsification=FalsificationStrategy.LURE, start=(0, 0)),
+            coop(1, start=(1, 1)),
+        )
+        views = views_of(fresh_state(bad), radius=1)
         transmit(views, {spec.agent_id: spec for spec in bad}, random.Random(0), (8, 8))
+
+
+def test_a_lying_cooperator_is_refused_at_construction():
+    with pytest.raises(ValueError, match="cooperative agent 3 must transmit truthfully"):
+        AgentSpec(3, Role.COOPERATIVE, falsification=FalsificationStrategy.BABBLE)
+    assert AgentSpec(3, Role.SELF_INTERESTED, falsification=FalsificationStrategy.BABBLE)
 
 
 def test_broadcast_counts_and_truthful_payloads():

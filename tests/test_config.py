@@ -262,6 +262,18 @@ def test_topology_must_cover_exactly_the_roster(tmp_path):
         replace(cfg, topology=CommGraph.complete([0, 1, 2])).validate()
 
 
+def test_replace_with_a_bad_value_raises_at_construction(tmp_path):
+    cfg = parse_config(write_config(tmp_path, ""))
+    for bad in (
+        {"seeds": (0, 0)},
+        {"tau": 1.5},
+        {"steps": 1},
+        {"topology": CommGraph.complete([0, 1, 2])},
+    ):
+        with pytest.raises(ConfigError):
+            replace(cfg, **bad)
+
+
 def test_kl_with_threshold_is_accepted(tmp_path):
     cfg = parse_config(
         write_config(
@@ -318,3 +330,26 @@ def test_the_largest_run_size_is_accepted(tmp_path):
         replace(cfg, width=cfg.width + 1).validate()
     with pytest.raises(ConfigError, match="agent-steps"):
         replace(cfg, steps=cfg.steps + 1).validate()
+
+
+@pytest.mark.parametrize(
+    "body, pattern",
+    [
+        ("[oracle]\nradius = 200\n", r"oracle\.radius = 200 exceeds the grid's longer side 10"),
+        ("[oracle]\nradius = 1000\n", r"oracle\.radius = 1000 exceeds"),
+        (
+            "[grid]\nwidth = 5000000\nheight = 2\n[oracle]\nradius = 2000\n",
+            r"run too large: 16008001 window cells \(\(2 x oracle\.radius \+ 1\)\^2\)",
+        ),
+    ],
+)
+def test_oracle_radius_is_bounded_by_the_grid_and_the_run_size(tmp_path, body, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        parse_config(write_config(tmp_path, body))
+
+
+def test_oracle_radius_may_reach_the_grid_side(tmp_path):
+    body = "[grid]\nwidth = 2\nheight = 3\n[oracle]\nradius = 3\n[roster]\nagents = 2\n"
+    assert parse_config(write_config(tmp_path, body)).oracle.radius == 3
+    with pytest.raises(ConfigError, match="oracle.radius = 4"):
+        parse_config(write_config(tmp_path, body.replace("radius = 3", "radius = 4")))

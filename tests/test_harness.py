@@ -556,11 +556,22 @@ def test_bernoulli_gating_draws_once_per_message_every_step(tmp_path, monkeypatc
 def test_run_episode_rejects_an_unvalidated_config(tmp_path):
     cfg = config_from(tmp_path, SMALL_RUN + "[roster]\nagents = 5\nadversaries = 0\n")
     for bad in (
-        replace(cfg, width=2, height=2),  # more agents than cells
-        replace(cfg, roster=tuple(replace(spec, start=(1, 1)) for spec in cfg.roster)),
+        lambda: replace(cfg, width=2, height=2),  # more agents than cells
+        lambda: replace(cfg, roster=tuple(replace(spec, start=(1, 1)) for spec in cfg.roster)),
     ):
         with pytest.raises(ConfigError):
-            run_episode(bad, 0)
+            run_episode(bad(), 0)
+
+
+def test_run_scenario_never_revalidates_the_config(tmp_path):
+    # a config is checked once, when it is built; running it checks nothing again
+    base = config_from(tmp_path, SMALL_RUN)
+    for episodes in (3, 30):
+        cfg = replace(base, steps=2, seeds=tuple(range(episodes)))
+        with mock.patch.object(type(cfg), "validate") as validate:
+            artifact = run_scenario(cfg)
+        assert len(artifact.episodes) == episodes
+        assert validate.call_count == 0
 
 
 def test_lure_lies_cost_the_team_what_honesty_would_have_earned(tmp_path):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from trustgrid import metrics
-from trustgrid.comms import Role
+from trustgrid.comms import CommGraph, Role
 from trustgrid.metrics import (
     ConfusionCounts,
     EpisodeSummary,
@@ -84,9 +84,18 @@ def test_classify_respects_heard_restriction():
 
 
 def test_classify_never_counts_self():
-    confusion = classify_step(state_with({}), ROLES, tau=0.5, heard=HEARD)
-    for observer, counts in confusion.items():
-        assert counts.total() == len(ROLES) - 1, observer
+    # heard maps built as the episode engine builds them, from the topology
+    ids = sorted(ROLES)
+    for graph, degrees in (
+        (CommGraph.complete(ids), {i: len(ROLES) - 1 for i in ids}),
+        (CommGraph.from_edges(ids, [(0, 1), (1, 2), (1, 3)]), {0: 1, 1: 3, 2: 1, 3: 1}),
+    ):
+        heard = {i: graph.neighbors(i) for i in ids}
+        confusion = classify_step(state_with({}), ROLES, tau=0.5, heard=heard)
+        assert sorted(confusion) == ids
+        for observer, counts in confusion.items():
+            assert observer not in heard[observer]
+            assert counts.total() == degrees[observer], observer
 
 
 def test_f1_values():
