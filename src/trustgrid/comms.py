@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .env import CELL_COVERED, CELL_OOB, CELL_UNCOVERED, Observation
 from .policies import AdversaryStrategy
 
@@ -92,7 +90,13 @@ class CommGraph:
         return cls(tuple((i, tuple(sorted(neighbors[i]))) for i in ids))
 
     def __post_init__(self) -> None:
-        adjacency = {i: set(nbrs) for i, nbrs in self.adjacency}
+        adjacency: dict[int, set[int]] = {}
+        for i, nbrs in self.adjacency:
+            if i in adjacency:
+                raise ValueError(f"agent {i} is listed twice")
+            adjacency[i] = set(nbrs)
+            if len(adjacency[i]) != len(nbrs):
+                raise ValueError(f"agent {i} lists a neighbour twice: {nbrs}")
         for i, nbrs in self.adjacency:
             for j in nbrs:
                 if j == i:
@@ -126,19 +130,18 @@ def falsify(
     if strategy is FalsificationStrategy.TRUTHFUL:
         return obs
 
-    window = obs.local_map
+    cells = obs.window_key()
     if strategy is FalsificationStrategy.LURE:
-        faked = np.frombuffer(bytearray(window.tobytes().translate(_LURE)), dtype=np.int8)
-        return Observation(obs.agent_id, obs.position, faked.reshape(window.shape), obs.t)
+        lured = bytearray(cells.translate(_LURE))
+        return Observation.from_cells(obs.agent_id, obs.position, lured, obs.t)
 
     if strategy is FalsificationStrategy.BABBLE:
         # one draw per in-grid cell, in row-major order
-        babbled = bytes(
+        babbled = bytearray(
             cell if cell == CELL_OOB else CELL_COVERED if rng.random() < 0.5 else CELL_UNCOVERED
-            for cell in window.tobytes()
+            for cell in cells
         )
-        faked = np.frombuffer(babbled, dtype=np.int8).reshape(window.shape).copy()
-        return Observation(obs.agent_id, obs.position, faked, obs.t)
+        return Observation.from_cells(obs.agent_id, obs.position, babbled, obs.t)
 
     if strategy is FalsificationStrategy.POSITION_SPOOF:
         width, height = grid_size
@@ -149,18 +152,18 @@ def falsify(
         ]
         fake = max(candidates, key=lambda c: abs(c[0] - x) + abs(c[1] - y))
         radius = obs.radius
-        size = window.shape[0]
-        faked = np.full((size, size), CELL_COVERED, dtype=np.int8)
+        size = 2 * radius + 1
+        faked = bytearray([CELL_COVERED]) * (size * size)
         for row in range(size):
             for col in range(size):
                 gx = fake[0] + (col - radius)
                 gy = fake[1] + (row - radius)
                 if not (0 <= gx < width and 0 <= gy < height):
-                    faked[row, col] = CELL_OOB
+                    faked[row * size + col] = CELL_OOB
                 elif abs(gx - x) <= radius and abs(gy - y) <= radius:
                     # inside the sender's real window: reuse true knowledge
-                    faked[row, col] = window[gy - (y - radius), gx - (x - radius)]
-        return Observation(obs.agent_id, fake, faked, obs.t)
+                    faked[row * size + col] = cells[(gy - y + radius) * size + gx - x + radius]
+        return Observation.from_cells(obs.agent_id, fake, faked, obs.t)
 
     raise ValueError(f"unknown falsification strategy {strategy!r}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import IntEnum
+from math import isqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,6 +24,10 @@ if TYPE_CHECKING:
 CELL_UNCOVERED = 0
 CELL_COVERED = 1
 CELL_OOB = 2  # outside the grid, neither covered nor uncovered
+
+# every window's dtype; numpy returns this one object for int8, so an
+# identity test suffices
+_INT8 = np.dtype(np.int8)
 
 # bytes.translate tables, one per marker, spelling a window as one binary
 # digit per cell: "1" where the cell holds that marker, "0" elsewhere
@@ -88,8 +93,10 @@ class GridState:
 class Observation:
     """An agent's transmittable local view.
 
-    ``local_map`` is a (2r+1) x (2r+1) window of ``CELL_*`` markers centered
-    on ``position``; cells beyond the grid edge are ``CELL_OOB``.
+    ``local_map`` is a (2r+1) x (2r+1) int8 window of ``CELL_*`` markers
+    centered on ``position``; cells beyond the grid edge are ``CELL_OOB``.
+    Code outside this module builds windows with ``from_cells`` and reads
+    them through ``radius`` and ``window_key``.
     """
 
     agent_id: int
@@ -98,16 +105,32 @@ class Observation:
     t: int
 
     def __post_init__(self) -> None:
-        shape = self.local_map.shape
+        window = self.local_map
+        if window.dtype is not _INT8:
+            raise ValueError(f"observation window must be int8, got {window.dtype}")
+        shape = window.shape
         if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 == 0:
             raise ValueError(f"malformed observation window, shape {shape}")
+
+    @classmethod
+    def from_cells(
+        cls, agent_id: int, position: tuple[int, int], cells: bytearray, t: int
+    ) -> "Observation":
+        """Observation over a row-major window of ``CELL_*`` markers.
+
+        The window is a view of ``cells``, not a copy: the caller hands the
+        buffer over and must not change it afterwards.
+        """
+        window = np.frombuffer(cells, dtype=np.int8)
+        return cls(agent_id, position, window.reshape(isqrt(len(cells)), -1), t)
 
     @property
     def radius(self) -> int:
         return self.local_map.shape[0] // 2
 
     def window_key(self) -> bytes:
-        """Stable content key for the window, used for value-table caching."""
+        """The window's cells in row-major order: a stable content key,
+        used for value-table caching."""
         return self.local_map.tobytes()
 
     def __eq__(self, other: object) -> bool:
@@ -117,7 +140,7 @@ class Observation:
             self.agent_id == other.agent_id
             and self.position == other.position
             and self.t == other.t
-            and np.array_equal(self.local_map, other.local_map)
+            and self.window_key() == other.window_key()
         )
 
 

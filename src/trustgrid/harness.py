@@ -18,8 +18,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TextIO
 
-import numpy as np
-
 from .comms import RANDOM_FALSIFICATIONS, FalsificationStrategy, Role, address, transmit
 from .config import ScenarioConfig
 from .env import (
@@ -100,16 +98,18 @@ def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Obse
     free = cell_mask(cells, CELL_UNCOVERED)
     if not free:
         return own
-    size = own.local_map.shape[0]
+    radius = own.radius
+    size = 2 * radius + 1
     x, y = own.position
-    left, top = x - own.radius, y - own.radius
+    left, top = x - radius, y - radius
     claimed = 0  # own-window bits some claim calls covered
     for payload in claims:
-        span = payload.local_map.shape[0]
+        claim_radius = payload.radius
+        span = 2 * claim_radius + 1
         px, py = payload.position
         # the payload's corner in own-window coordinates, then the
         # rectangle both windows share
-        dx, dy = px - payload.radius - left, py - payload.radius - top
+        dx, dy = px - claim_radius - left, py - claim_radius - top
         c0, c1 = max(dx, 0), min(dx + span, size)
         r0, r1 = max(dy, 0), min(dy + span, size)
         if c0 < c1 and r0 < r1:
@@ -126,8 +126,7 @@ def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Obse
         low = landed & -landed
         window[low.bit_length() - 1] = CELL_COVERED
         landed ^= low
-    local_map = np.frombuffer(window, dtype=np.int8).reshape(size, size)
-    return Observation(own.agent_id, own.position, local_map, own.t)
+    return Observation.from_cells(own.agent_id, own.position, window, own.t)
 
 
 def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:

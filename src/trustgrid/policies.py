@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import isqrt
 
 from .env import ACTION_DELTAS, CELL_OOB, CELL_UNCOVERED, Action, Observation, cell_mask
 
@@ -76,10 +77,9 @@ def _edge_moves(size: int, oob: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1 << 18)
-def _value_table(
-    window_bytes: bytes, size: int, gamma: float, horizon: int
-) -> tuple[float, ...]:
-    """Value of each first action for one window, by exact depth-limited DP.
+def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float, ...]:
+    """Value of each first action for one square row-major window, by
+    exact depth-limited DP.
 
     State is (cell index, bitmask of cells covered since the start). Moves
     that would leave the window or enter an out-of-grid cell resolve to
@@ -101,6 +101,7 @@ def _value_table(
     result is the plain recursion's value, bit for bit.
     """
     cells = window_bytes
+    size = isqrt(len(cells))
     center = (size // 2) * size + (size // 2)
     moves, dest_bits = _window_moves(size)
     if CELL_OOB in cells:
@@ -182,7 +183,7 @@ def _value_table(
 
 def action_values(obs: Observation, cfg: ValueOracleConfig) -> tuple[float, ...]:
     """Values of all actions on one observation, in ``Action`` order."""
-    return _value_table(obs.window_key(), obs.local_map.shape[0], cfg.gamma, cfg.horizon)
+    return _value_table(obs.window_key(), cfg.gamma, cfg.horizon)
 
 
 def greedy_action(obs: Observation, cfg: ValueOracleConfig) -> Action:

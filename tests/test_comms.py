@@ -80,6 +80,17 @@ def test_graph_rejects_bad_edges():
         CommGraph(adjacency=((0, (0,)),))  # self-edge
 
 
+def test_graph_refuses_a_duplicate_neighbour():
+    # agent 1 would hear agent 2 twice and log its verdict on 2 twice
+    with pytest.raises(ValueError, match="agent 1 lists a neighbour twice"):
+        CommGraph(adjacency=((1, (2, 2, 3)), (2, (1,)), (3, (1,))))
+
+
+def test_graph_refuses_a_duplicate_agent():
+    with pytest.raises(ValueError, match="agent 1 is listed twice"):
+        CommGraph(adjacency=((1, (2,)), (2, (1,)), (1, (2,))))
+
+
 def test_falsify_truthful_is_identity():
     obs = window_obs([[CELL_UNCOVERED] * 3 for _ in range(3)])
     out = falsify(obs, FalsificationStrategy.TRUTHFUL, random.Random(0), (8, 8))

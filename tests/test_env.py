@@ -143,6 +143,26 @@ def test_observation_validates_window_shape():
         Observation(0, (0, 0), np.zeros((3, 5), dtype=np.int8), 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, bool])
+def test_observation_refuses_a_window_that_is_not_int8(dtype):
+    # an int64 or float64 window would give the oracle eight bytes per cell
+    with pytest.raises(ValueError, match="int8"):
+        Observation(0, (0, 0), np.zeros((3, 3), dtype=dtype), 0)
+
+
+def test_from_cells_wraps_the_buffer_as_a_square_int8_window():
+    cells = bytearray([CELL_OOB, CELL_COVERED, CELL_UNCOVERED] * 3)
+    obs = Observation.from_cells(4, (1, 2), cells, 7)
+    assert (obs.agent_id, obs.position, obs.t, obs.radius) == (4, (1, 2), 7, 1)
+    assert obs.local_map.dtype == np.int8 and obs.local_map.shape == (3, 3)
+    assert obs.window_key() == bytes(cells)
+    assert np.shares_memory(obs.local_map, np.frombuffer(cells, dtype=np.int8))
+    assert obs == Observation(4, (1, 2), np.array(list(cells), dtype=np.int8).reshape(3, 3), 7)
+    for length in (4, 8, 10):  # an even side, and two that are not squares
+        with pytest.raises(ValueError):
+            Observation.from_cells(0, (0, 0), bytearray(length), 0)
+
+
 def test_coverage_fraction_and_monotonicity_under_random_play():
     rng = random.Random(11)
     geo = Geometry(6, 5, [None] * 3)
