@@ -132,16 +132,15 @@ def falsify(
 
     cells = obs.window_key()
     if strategy is FalsificationStrategy.LURE:
-        lured = bytearray(cells.translate(_LURE))
-        return Observation.from_cells(obs.agent_id, obs.position, lured, obs.t)
+        return Observation(obs.agent_id, obs.position, cells.translate(_LURE), obs.t)
 
     if strategy is FalsificationStrategy.BABBLE:
         # one draw per in-grid cell, in row-major order
-        babbled = bytearray(
+        babbled = bytes(
             cell if cell == CELL_OOB else CELL_COVERED if rng.random() < 0.5 else CELL_UNCOVERED
             for cell in cells
         )
-        return Observation.from_cells(obs.agent_id, obs.position, babbled, obs.t)
+        return Observation(obs.agent_id, obs.position, babbled, obs.t)
 
     if strategy is FalsificationStrategy.POSITION_SPOOF:
         width, height = grid_size
@@ -163,7 +162,7 @@ def falsify(
                 elif abs(gx - x) <= radius and abs(gy - y) <= radius:
                     # inside the sender's real window: reuse true knowledge
                     faked[row * size + col] = cells[(gy - y + radius) * size + gx - x + radius]
-        return Observation.from_cells(obs.agent_id, fake, faked, obs.t)
+        return Observation(obs.agent_id, fake, bytes(faked), obs.t)
 
     raise ValueError(f"unknown falsification strategy {strategy!r}")
 

@@ -15,8 +15,6 @@ from enum import IntEnum
 from math import isqrt
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:
     from .config import ScenarioConfig
 
@@ -25,9 +23,7 @@ CELL_UNCOVERED = 0
 CELL_COVERED = 1
 CELL_OOB = 2  # outside the grid, neither covered nor uncovered
 
-# every window's dtype; numpy returns this one object for int8, so an
-# identity test suffices
-_INT8 = np.dtype(np.int8)
+_OOB = bytes([CELL_OOB])  # one out-of-grid cell, repeated to pad windows
 
 # bytes.translate tables, one per marker, spelling a window as one binary
 # digit per cell: "1" where the cell holds that marker, "0" elsewhere
@@ -67,81 +63,55 @@ ACTION_DELTAS: dict[Action, tuple[int, int]] = {
 RewardRecord = dict[int, int]
 
 
-@dataclass(eq=False)
+@dataclass
 class GridState:
     """Full environment state: coverage bitmap, agent positions, step count."""
 
     width: int
     height: int
-    covered: np.ndarray  # bool, shape (height, width), indexed [y, x]
+    # row-major CELL_COVERED/CELL_UNCOVERED markers, cell (x, y) at y * width + x
+    covered: bytearray
     positions: dict[int, tuple[int, int]]  # agent id -> (x, y)
     t: int = 0
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GridState):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.t == other.t
-            and self.positions == other.positions
-            and np.array_equal(self.covered, other.covered)
-        )
 
-
-@dataclass(eq=False)
+@dataclass
 class Observation:
     """An agent's transmittable local view.
 
-    ``local_map`` is a (2r+1) x (2r+1) int8 window of ``CELL_*`` markers
-    centered on ``position``; cells beyond the grid edge are ``CELL_OOB``.
-    Code outside this module builds windows with ``from_cells`` and reads
-    them through ``radius`` and ``window_key``.
+    ``cells`` is a (2r+1) x (2r+1) window of ``CELL_*`` markers centered on
+    ``position``, as row-major bytes; cells beyond the grid edge are
+    ``CELL_OOB``. Any other int8 buffer (a ``bytearray``, a square int8
+    array) is copied into bytes, so a window never changes after it is
+    built.
     """
 
     agent_id: int
     position: tuple[int, int]
-    local_map: np.ndarray  # int8, shape (2r+1, 2r+1)
+    cells: bytes
     t: int
 
     def __post_init__(self) -> None:
-        window = self.local_map
-        if window.dtype is not _INT8:
-            raise ValueError(f"observation window must be int8, got {window.dtype}")
-        shape = window.shape
-        if len(shape) != 2 or shape[0] != shape[1] or shape[0] % 2 == 0:
-            raise ValueError(f"malformed observation window, shape {shape}")
-
-    @classmethod
-    def from_cells(
-        cls, agent_id: int, position: tuple[int, int], cells: bytearray, t: int
-    ) -> "Observation":
-        """Observation over a row-major window of ``CELL_*`` markers.
-
-        The window is a view of ``cells``, not a copy: the caller hands the
-        buffer over and must not change it afterwards.
-        """
-        window = np.frombuffer(cells, dtype=np.int8)
-        return cls(agent_id, position, window.reshape(isqrt(len(cells)), -1), t)
+        cells = self.cells
+        if type(cells) is not bytes:
+            view = memoryview(cells)
+            if view.format not in ("b", "B"):
+                raise ValueError(f"observation window must be int8, got format {view.format!r}")
+            if view.ndim not in (1, 2) or view.ndim == 2 and view.shape[0] != view.shape[1]:
+                raise ValueError(f"malformed observation window, shape {view.shape}")
+            cells = self.cells = view.tobytes()
+        side = isqrt(len(cells))
+        if side * side != len(cells) or side % 2 == 0:
+            raise ValueError(f"malformed observation window, {len(cells)} cells")
 
     @property
     def radius(self) -> int:
-        return self.local_map.shape[0] // 2
+        return isqrt(len(self.cells)) // 2
 
     def window_key(self) -> bytes:
         """The window's cells in row-major order: a stable content key,
         used for value-table caching."""
-        return self.local_map.tobytes()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Observation):
-            return NotImplemented
-        return (
-            self.agent_id == other.agent_id
-            and self.position == other.position
-            and self.t == other.t
-            and self.window_key() == other.window_key()
-        )
+        return self.cells
 
 
 def reset(config: "ScenarioConfig", seed: int) -> GridState:
@@ -168,9 +138,9 @@ def reset(config: "ScenarioConfig", seed: int) -> GridState:
             start = cell
         positions[spec.agent_id] = start
 
-    covered = np.zeros((height, width), dtype=bool)
+    covered = bytearray([CELL_UNCOVERED]) * (width * height)
     for x, y in positions.values():
-        covered[y, x] = True
+        covered[y * width + x] = CELL_COVERED
     return GridState(width, height, covered, positions, t=0)
 
 
@@ -186,22 +156,24 @@ def step(state: GridState, joint_action: dict[int, Action]) -> tuple[GridState, 
             f"action-count mismatch: got actions for {sorted(joint_action)}, "
             f"agents are {sorted(state.positions)}"
         )
-    covered = state.covered.copy()
+    width = state.width
+    covered = bytearray(state.covered)
     positions: dict[int, tuple[int, int]] = {}
     rewards: RewardRecord = {}
     for i in sorted(state.positions):
         x, y = state.positions[i]
         dx, dy = ACTION_DELTAS[joint_action[i]]
         nx, ny = x + dx, y + dy
-        if not (0 <= nx < state.width and 0 <= ny < state.height):
+        if not (0 <= nx < width and 0 <= ny < state.height):
             nx, ny = x, y
-        if covered[ny, nx]:
+        cell = ny * width + nx
+        if covered[cell] == CELL_COVERED:
             rewards[i] = 0
         else:
             rewards[i] = 1
-            covered[ny, nx] = True
+            covered[cell] = CELL_COVERED
         positions[i] = (nx, ny)
-    next_state = GridState(state.width, state.height, covered, positions, state.t + 1)
+    next_state = GridState(width, state.height, covered, positions, state.t + 1)
     return next_state, rewards
 
 
@@ -213,17 +185,19 @@ def observe(state: GridState, agent_id: int, radius: int) -> Observation:
         raise ValueError(f"radius must be non-negative, got {radius}")
     x, y = state.positions[agent_id]
     size = 2 * radius + 1
-    window = np.full((size, size), CELL_OOB, dtype=np.int8)
-    x0, x1 = max(0, x - radius), min(state.width, x + radius + 1)
-    y0, y1 = max(0, y - radius), min(state.height, y + radius + 1)
-    # bool casts to the markers: True -> 1 (CELL_COVERED), False -> 0 (CELL_UNCOVERED)
-    window[
-        y0 - (y - radius) : y1 - (y - radius),
-        x0 - (x - radius) : x1 - (x - radius),
-    ] = state.covered[y0:y1, x0:x1]
-    return Observation(agent_id, (x, y), window, state.t)
+    width, height = state.width, state.height
+    x0, x1 = max(0, x - radius), min(width, x + radius + 1)
+    y0, y1 = max(0, y - radius), min(height, y + radius + 1)
+    covered = state.covered
+    # out-of-grid cells before the first in-grid cell, between one row's
+    # in-grid cells and the next's, and after the last
+    lead = _OOB * ((y0 - y + radius) * size + x0 - x + radius)
+    gap = _OOB * (size - (x1 - x0))
+    tail = _OOB * ((y + radius + 1 - y1) * size + x + radius + 1 - x1)
+    rows = gap.join([covered[row * width + x0 : row * width + x1] for row in range(y0, y1)])
+    return Observation(agent_id, (x, y), b"".join((lead, rows, tail)), state.t)
 
 
 def coverage_fraction(state: GridState) -> float:
     """Covered cells divided by total cells, in [0, 1]."""
-    return float(state.covered.sum()) / float(state.width * state.height)
+    return float(state.covered.count(CELL_COVERED)) / float(state.width * state.height)

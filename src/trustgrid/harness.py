@@ -126,7 +126,7 @@ def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Obse
         low = landed & -landed
         window[low.bit_length() - 1] = CELL_COVERED
         landed ^= low
-    return Observation.from_cells(own.agent_id, own.position, window, own.t)
+    return Observation(own.agent_id, own.position, bytes(window), own.t)
 
 
 def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from windows import window_rows
 
 from trustgrid.comms import (
     AgentSpec,
@@ -107,10 +108,11 @@ def test_falsify_lure_flips_exactly_the_uncovered_cells():
     out = falsify(obs, FalsificationStrategy.LURE, random.Random(0), (8, 8))
     assert out.position == obs.position
     assert out.t == obs.t
-    assert list(out.local_map[0]) == [CELL_OOB] * 3
-    assert (out.local_map[1:] == CELL_COVERED).all()
+    lured = window_rows(out)
+    assert lured[0] == [CELL_OOB] * 3
+    assert all(cell == CELL_COVERED for row in lured[1:] for cell in row)
     # three cells changed, all of them uncovered ones
-    assert int((out.local_map != obs.local_map).sum()) == 3
+    assert sum(a != b for a, b in zip(out.window_key(), obs.window_key())) == 3
 
 
 def test_falsify_lure_draws_nothing_from_the_stream():
@@ -130,11 +132,12 @@ def test_falsify_babble_is_seeded_and_preserves_structure():
     one = falsify(obs, FalsificationStrategy.BABBLE, random.Random(7), (8, 8))
     two = falsify(obs, FalsificationStrategy.BABBLE, random.Random(7), (8, 8))
     other = falsify(obs, FalsificationStrategy.BABBLE, random.Random(8), (8, 8))
-    assert (one.local_map == two.local_map).all()
-    assert not (one.local_map == other.local_map).all()
+    assert window_rows(one) == window_rows(two)
+    assert window_rows(one) != window_rows(other)
     assert one.position == obs.position
-    assert list(one.local_map[0]) == [CELL_OOB] * 3
-    assert set(one.local_map[1:].flatten()) <= {CELL_COVERED, CELL_UNCOVERED}
+    assert window_rows(one)[0] == [CELL_OOB] * 3
+    babbled = {cell for row in window_rows(one)[1:] for cell in row}
+    assert babbled <= {CELL_COVERED, CELL_UNCOVERED}
 
 
 def test_falsify_babble_draws_once_per_in_grid_cell_in_row_major_order():
@@ -148,16 +151,17 @@ def test_falsify_babble_draws_once_per_in_grid_cell_in_row_major_order():
             ]
             obs = window_obs(rows, position=(radius, radius))
             rng = random.Random(seed)
-            out = falsify(obs, FalsificationStrategy.BABBLE, rng, (8, 8)).local_map
-            assert out.dtype == np.int8 and out.shape == (size, size)
+            babbled = falsify(obs, FalsificationStrategy.BABBLE, rng, (8, 8))
+            assert len(babbled.window_key()) == size * size
+            out = window_rows(babbled)
             replay = random.Random(seed)
             for r in range(size):
                 for c in range(size):
                     if rows[r][c] == CELL_OOB:
-                        assert out[r, c] == CELL_OOB
+                        assert out[r][c] == CELL_OOB
                     else:
                         draw = replay.random()
-                        assert out[r, c] == (CELL_COVERED if draw < 0.5 else CELL_UNCOVERED)
+                        assert out[r][c] == (CELL_COVERED if draw < 0.5 else CELL_UNCOVERED)
             in_grid = sum(cell != CELL_OOB for row in rows for cell in row)
             fresh = random.Random(seed)
             for _ in range(in_grid):
@@ -195,20 +199,21 @@ def test_falsify_position_spoof_recenters_the_window():
         rng = random.Random(0)
         out = falsify(obs, FalsificationStrategy.POSITION_SPOOF, rng, (size, size))
         fx, fy = out.position
+        spoofed = window_rows(out)
         assert 0 <= fx < size and 0 <= fy < size
         for row in range(3):
             for col in range(3):
                 gx, gy = fx + col - 1, fy + row - 1
                 if not (0 <= gx < size and 0 <= gy < size):
                     checked["oob"] += 1
-                    assert out.local_map[row, col] == CELL_OOB
+                    assert spoofed[row][col] == CELL_OOB
                 elif abs(gx) <= 1 and abs(gy) <= 1:
                     # overlaps the sender's real window: true knowledge reused
                     checked["reused"] += 1
-                    assert out.local_map[row, col] == rows[gy + 1][gx + 1]
+                    assert spoofed[row][col] == rows[gy + 1][gx + 1]
                 else:
                     checked["covered"] += 1
-                    assert out.local_map[row, col] == CELL_COVERED
+                    assert spoofed[row][col] == CELL_COVERED
     assert all(checked.values()), checked
 
 
@@ -220,8 +225,8 @@ def test_transmit_orders_stream_by_agent_id():
     views = views_of(fresh_state(tuple(roster.values())), radius=1)
     a = transmit(views, roster, random.Random(5), (8, 8))
     b = transmit(views, roster, random.Random(5), (8, 8))
-    assert (a[0].local_map == b[0].local_map).all()
-    assert (a[1].local_map == b[1].local_map).all()
+    assert window_rows(a[0]) == window_rows(b[0])
+    assert window_rows(a[1]) == window_rows(b[1])
 
 
 def test_transmit_rejects_lying_cooperators():
@@ -247,7 +252,7 @@ def test_broadcast_counts_and_truthful_payloads():
     graph = CommGraph.complete(list(roster))
     views = views_of(state, radius=2)
     before = {
-        i: Observation(v.agent_id, v.position, v.local_map.copy(), v.t)
+        i: Observation(v.agent_id, v.position, bytearray(v.window_key()), v.t)
         for i, v in views.items()
     }
     inboxes = address(transmit(views, roster, random.Random(0), (8, 8)), graph)
@@ -274,9 +279,10 @@ def test_broadcast_applies_adversary_strategy():
     inboxes = address(payloads, graph)
     lie = inboxes[1][0]
     truth = observe(state, 0, 2)
-    flipped = lie.local_map[truth.local_map == CELL_UNCOVERED]
-    assert (flipped == CELL_COVERED).all()
-    assert (lie.local_map[truth.local_map == CELL_COVERED] == CELL_COVERED).all()
+    pairs = list(zip(truth.window_key(), lie.window_key()))
+    flipped = [told for seen, told in pairs if seen == CELL_UNCOVERED]
+    assert all(told == CELL_COVERED for told in flipped)
+    assert all(told == CELL_COVERED for seen, told in pairs if seen == CELL_COVERED)
 
 
 def test_address_routes_by_topology():

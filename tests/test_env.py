@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from windows import covered_at, grid, window_rows
 
 from trustgrid.comms import AgentSpec, Role
 from trustgrid.env import (
@@ -21,6 +22,7 @@ from trustgrid.env import (
     reset,
     step,
 )
+from trustgrid.policies import ValueOracleConfig, action_values, clear_value_cache
 
 
 class Geometry:
@@ -42,8 +44,8 @@ def test_reset_covers_start_cells():
     state = fixed(5, 4, [(0, 0), (3, 2)])
     assert state.t == 0
     assert state.positions == {0: (0, 0), 1: (3, 2)}
-    assert state.covered[0, 0] and state.covered[2, 3]
-    assert state.covered.sum() == 2
+    assert covered_at(state, 0, 0) == covered_at(state, 3, 2) == CELL_COVERED
+    assert state.covered.count(CELL_COVERED) == 2
 
 
 def test_reset_seeded_placement_is_reproducible_and_collision_free():
@@ -68,12 +70,12 @@ def test_step_moves_and_covers():
     state = fixed(5, 5, [(2, 2), (0, 4)])
     nxt, rewards = step(state, {0: Action.RIGHT, 1: Action.UP})
     assert nxt.positions == {0: (3, 2), 1: (0, 3)}
-    assert nxt.covered[2, 3] and nxt.covered[3, 0]
+    assert covered_at(nxt, 3, 2) == covered_at(nxt, 0, 3) == CELL_COVERED
     assert rewards == {0: 1, 1: 1}
     assert nxt.t == 1
     # original state untouched
     assert state.positions == {0: (2, 2), 1: (0, 4)}
-    assert state.covered.sum() == 2
+    assert state.covered.count(CELL_COVERED) == 2
 
 
 def test_step_off_grid_resolves_to_stay():
@@ -115,17 +117,18 @@ def test_observe_center_and_oob_fill():
     assert obs.position == (0, 0)
     assert obs.t == 0
     # top-left corner: row above and column left are off-grid
-    assert list(obs.local_map[0]) == [CELL_OOB] * 3
-    assert obs.local_map[1, 0] == CELL_OOB
-    assert obs.local_map[1, 1] == CELL_COVERED  # own cell
-    assert obs.local_map[1, 2] == CELL_UNCOVERED
+    window = window_rows(obs)
+    assert window[0] == [CELL_OOB] * 3
+    assert window[1][0] == CELL_OOB
+    assert window[1][1] == CELL_COVERED  # own cell
+    assert window[1][2] == CELL_UNCOVERED
     assert obs.radius == 1
 
 
 def test_observe_sees_other_agents_coverage_not_agents():
     state = fixed(4, 4, [(1, 1), (2, 1)])
     obs = observe(state, 0, radius=1)
-    assert obs.local_map[1, 2] == CELL_COVERED  # neighbor's cell is covered
+    assert window_rows(obs)[1][2] == CELL_COVERED  # neighbor's cell is covered
 
 
 def test_observe_unknown_agent_and_bad_radius():
@@ -150,17 +153,42 @@ def test_observation_refuses_a_window_that_is_not_int8(dtype):
         Observation(0, (0, 0), np.zeros((3, 3), dtype=dtype), 0)
 
 
-def test_from_cells_wraps_the_buffer_as_a_square_int8_window():
-    cells = bytearray([CELL_OOB, CELL_COVERED, CELL_UNCOVERED] * 3)
-    obs = Observation.from_cells(4, (1, 2), cells, 7)
+def test_observation_copies_a_bytearray_window():
+    original = bytes([CELL_OOB, CELL_COVERED, CELL_UNCOVERED] * 3)
+    cells = bytearray(original)
+    obs = Observation(4, (1, 2), cells, 7)
     assert (obs.agent_id, obs.position, obs.t, obs.radius) == (4, (1, 2), 7, 1)
-    assert obs.local_map.dtype == np.int8 and obs.local_map.shape == (3, 3)
-    assert obs.window_key() == bytes(cells)
-    assert np.shares_memory(obs.local_map, np.frombuffer(cells, dtype=np.int8))
-    assert obs == Observation(4, (1, 2), np.array(list(cells), dtype=np.int8).reshape(3, 3), 7)
+    assert type(obs.window_key()) is bytes
+    assert obs.window_key() == original
+    cells[0] = CELL_COVERED  # the caller keeps its buffer; the window does not change
+    assert obs.window_key() == original
+    assert obs == Observation(4, (1, 2), original, 7)
     for length in (4, 8, 10):  # an even side, and two that are not squares
         with pytest.raises(ValueError):
-            Observation.from_cells(0, (0, 0), bytearray(length), 0)
+            Observation(0, (0, 0), bytearray(length), 0)
+        with pytest.raises(ValueError):
+            Observation(0, (0, 0), bytes(length), 0)
+
+
+def test_observation_accepts_the_benchmarks_int8_arrays():
+    # perfbench's oracle microbenchmark builds each window as a writable copy,
+    # and its reference recorder as a read-only view of the window's bytes
+    picker = random.Random(5)
+    config = ValueOracleConfig(gamma=0.9, horizon=4, radius=2)
+    for _ in range(20):
+        cells = bytes(picker.choice(MARKERS) for _ in range(25))
+        built = Observation(0, (0, 0), cells, 0)
+        writable = np.frombuffer(cells, dtype=np.int8).reshape(5, 5).copy()
+        read_only = np.frombuffer(cells, np.int8).reshape(5, 5)
+        assert writable.flags.writeable and not read_only.flags.writeable
+        for window in (writable, read_only):
+            obs = Observation(0, (0, 0), window, 0)
+            assert obs == built
+            assert obs.window_key() == built.window_key() == cells
+            clear_value_cache()
+            values = action_values(obs, config)
+            clear_value_cache()
+            assert [v.hex() for v in values] == [v.hex() for v in action_values(built, config)]
 
 
 def test_coverage_fraction_and_monotonicity_under_random_play():
@@ -184,7 +212,7 @@ def test_state_equality_and_copy():
     state = fixed(4, 4, [(0, 0), (1, 1)])
     twin = fixed(4, 4, [(0, 0), (1, 1)])
     assert state == twin
-    twin.covered[3, 3] = True
+    twin.covered[3 * 4 + 3] = CELL_COVERED
     assert state != twin
 
 
@@ -205,13 +233,13 @@ def test_cell_mask_sets_bit_i_where_cell_i_holds_the_marker():
 
 def test_cell_mask_reads_observe_windows_in_row_major_order():
     rng = random.Random(3)
-    covered = np.array([[rng.random() < 0.5 for _ in range(7)] for _ in range(6)])
+    covered = grid([[rng.random() < 0.5 for _ in range(7)] for _ in range(6)])
     state = GridState(7, 6, covered, {0: (0, 0)})
     for x in range(7):
         for y in range(6):
             state.positions[0] = (x, y)
-            window = observe(state, 0, 3).local_map
-            flat = window.flatten().tolist()
+            window = observe(state, 0, 3)
+            flat = list(window.window_key())
             for marker in MARKERS:
                 expected = sum(1 << i for i, cell in enumerate(flat) if cell == marker)
-                assert cell_mask(window.tobytes(), marker) == expected
+                assert cell_mask(window.window_key(), marker) == expected

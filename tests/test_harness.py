@@ -10,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from windows import window_rows
 
 from trustgrid import harness, trust
 from trustgrid.comms import FalsificationStrategy, Role, falsify, transmit
@@ -65,10 +66,10 @@ def test_merge_overlays_exactly_the_overlapping_claims():
     merged = merge_observation(own, (peer,))
     # peer's window spans x in [2,4]; only columns x=2,3 fall inside own's
     want = [[U, C, C], [U, C, C], [U, C, C]]
-    assert merged.local_map.tolist() == want
+    assert window_rows(merged) == want
     assert (merged.agent_id, merged.position, merged.t) == (1, (2, 2), 0)
     # the original window is untouched
-    assert own.local_map.tolist() == [[U] * 3] * 3
+    assert window_rows(own) == [[U] * 3] * 3
 
 
 def test_merge_ignores_claims_fully_outside_own_window():
@@ -83,7 +84,7 @@ def test_merge_never_touches_covered_or_blocked_cells():
     peer = obs(2, (2, 2), [[C] * 3] * 3)
     merged = merge_observation(own, (peer,))
     want = [[C, B, C], [C, C, C], [C, C, B]]
-    assert merged.local_map.tolist() == want
+    assert window_rows(merged) == want
 
 
 def test_merge_with_nothing_new_returns_own_object():
@@ -102,7 +103,7 @@ def test_merge_unions_claims_across_messages():
     b = obs(3, (2, 2), [[U, U, U], [U, U, U], [U, U, C]])
     merged = merge_observation(own, (a, b))
     want = [[C, U, U], [U, U, U], [U, U, C]]
-    assert merged.local_map.tolist() == want
+    assert window_rows(merged) == want
 
 
 SMALL_RUN = """
@@ -351,7 +352,7 @@ def adversary_steps(recording, artifact):
                 assert actions[0] == ep_log[simulated - 1][2][0]
             truth = observe(before, 0, radius)
             assert view.position == truth.position
-            assert np.array_equal(view.local_map, truth.local_map)
+            assert view.window_key() == truth.window_key()
             out.append((view, payload, actions[0]))
         transmits += simulated
     assert transmits == len(sent)

@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from windows import grid, window_rows
 
 from oracles import dp_values, enumeration_values
 from trustgrid import policies
@@ -183,7 +184,7 @@ def test_every_out_of_grid_pattern_equals_the_plain_dp_bit_for_bit():
     width, height = 6, 5
     rng = random.Random(7)
     maps = [
-        np.array([[rng.random() < share for _ in range(width)] for _ in range(height)])
+        grid([[rng.random() < share for _ in range(width)] for _ in range(height)])
         for share in (0.3, 0.7)
     ]
     hits = policies._edge_moves.cache_info().hits
@@ -194,7 +195,7 @@ def test_every_out_of_grid_pattern_equals_the_plain_dp_bit_for_bit():
                 for x in range(width):
                     for y in range(height):
                         obs = observe(GridState(width, height, covered, {0: (x, y)}), 0, radius)
-                        rows = obs.local_map.tolist()
                         got = list(action_values(obs, cfg))
-                        assert got == dp_values(rows, cfg.gamma, horizon), (radius, horizon, x, y)
+                        want = dp_values(window_rows(obs), cfg.gamma, horizon)
+                        assert got == want, (radius, horizon, x, y)
     assert policies._edge_moves.cache_info().hits > hits

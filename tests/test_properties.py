@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from windows import covered_at, grid, window_rows
 
 from trustgrid import harness
 from trustgrid.comms import CommGraph, FalsificationStrategy
@@ -46,9 +47,9 @@ def grid_cells(obs):
     r = obs.radius
     x, y = obs.position
     return {
-        (x - r + col, y - r + row): int(obs.local_map[row, col])
-        for row in range(2 * r + 1)
-        for col in range(2 * r + 1)
+        (x - r + col, y - r + row): flag
+        for row, flags in enumerate(window_rows(obs))
+        for col, flag in enumerate(flags)
     }
 
 
@@ -84,7 +85,7 @@ def placed_grids(draw):
     # edges and corners are drawn often, not left to chance
     x = draw(st.sampled_from([0, width - 1]) | st.integers(0, width - 1))
     y = draw(st.sampled_from([0, height - 1]) | st.integers(0, height - 1))
-    covered = np.array(flat, dtype=bool).reshape(height, width)
+    covered = grid([flat])  # one row-major run of flags
     return GridState(width, height, covered, {3: (x, y)}, t=draw(st.integers(0, 50)))
 
 
@@ -94,10 +95,10 @@ def test_observe_matches_a_per_cell_reference(state, radius):
     obs = observe(state, 3, radius)
     x, y = state.positions[3]
     assert (obs.agent_id, obs.position, obs.t, obs.radius) == (3, (x, y), state.t, radius)
-    assert obs.local_map.dtype == np.int8
+    assert type(obs.window_key()) is bytes
     for (gx, gy), flag in grid_cells(obs).items():
         if 0 <= gx < state.width and 0 <= gy < state.height:
-            assert flag == (CELL_COVERED if state.covered[gy, gx] else CELL_UNCOVERED)
+            assert flag == (CELL_COVERED if covered_at(state, gx, gy) else CELL_UNCOVERED)
         else:
             assert flag == CELL_OOB
 
