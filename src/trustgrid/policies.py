@@ -94,11 +94,16 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
     Deeper nodes are pruned against ceilings built from the same
     expressions: ``top[0] = 0.0`` and ``top[d] = 1.0 + gamma * top[d - 1]``.
     Rounding ``gamma * x`` (gamma >= 0) and ``1.0 + y`` is monotone, so by
-    induction no node with ``d`` moves left is worth more than ``top[d]``.
-    A node stops scanning its moves once its value equals ``top[d]``, and
-    skips a move that collects nothing once its value is at least
-    ``gamma * top[d - 1]``: neither move could pass ``v > out``. The
-    result is the plain recursion's value, bit for bit.
+    induction no node with ``d`` moves left is worth more than ``top[d]``,
+    and no move of it that collects nothing is worth more than
+    ``gamma * top[d - 1]``. A node scans its collecting moves (onto an
+    uncovered cell not yet collected) first, and stops once its value
+    equals ``top[d]``. It then scans its idle moves only while its value is
+    below ``gamma * top[d - 1]``, so a collecting move that reaches that
+    ceiling skips them all. A skipped move could not pass ``v > out``, and
+    a node's value is the max over its moves, which no scan order changes.
+    So every value is the plain recursion's, bit for bit, and so is every
+    tie-break: the root computes all five first-action values.
     """
     cells = window_bytes
     size = isqrt(len(cells))
@@ -106,9 +111,8 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
     moves, dest_bits = _window_moves(size)
     if CELL_OOB in cells:
         moves = _edge_moves(size, cell_mask(cells, CELL_OOB))
+    # out-of-grid cells are never uncovered, so dest_bits serves edge windows too
     uncovered = cell_mask(cells, CELL_UNCOVERED)
-    # uncovered cells one move away; out-of-grid cells are never uncovered
-    near = [uncovered & bits for bits in dest_bits]
 
     depth1 = 1.0 + gamma * 0.0, gamma * 0.0  # some move collects a cell, or none
     both, first, second, neither = (
@@ -124,15 +128,15 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
     def best2(idx: int, mask: int, depth: int = 2) -> float:
         """Value with two moves left; ``depth`` lets it stand in for ``best``."""
         # both >= first > second >= neither, so the first one found is the max
-        free = ~mask
-        if near[idx] & free:
+        fresh = uncovered & ~mask
+        if fresh & dest_bits[idx]:
             for dest in moves[idx]:
                 bit = 1 << dest
-                if uncovered & free & bit and near[dest] & free & ~bit:
+                if fresh & bit and fresh & ~bit & dest_bits[dest]:
                     return both
             return first
         for dest in moves[idx]:
-            if near[dest] & free:
+            if fresh & dest_bits[dest]:
                 return second
         return neither
 
@@ -146,19 +150,24 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
             return cached
         child = best if depth > 3 else best2
         ceiling, idle_ceiling = top[depth], gamma * top[depth - 1]
+        fresh = uncovered & ~mask
         out = 0.0
-        for dest in moves[idx]:
+        for dest in moves[idx]:  # collecting moves first
             bit = 1 << dest
-            if cells[dest] == CELL_UNCOVERED and not mask & bit:
+            if fresh & bit:
                 v = 1.0 + gamma * child(dest, mask | bit, depth - 1)
-            elif out >= idle_ceiling:
-                continue
-            else:
-                v = gamma * child(dest, mask, depth - 1)
-            if v > out:
-                out = v
-                if out == ceiling:
-                    break
+                if v > out:
+                    out = v
+                    if out == ceiling:
+                        break
+        if out < idle_ceiling:  # else no idle move can pass it
+            for dest in moves[idx]:
+                if not fresh >> dest & 1:
+                    v = gamma * child(dest, mask, depth - 1)
+                    if v > out:
+                        out = v
+                        if out >= idle_ceiling:
+                            break
         memo[key] = out
         return out
 
@@ -168,7 +177,7 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
         if depth == 2:
             return best2(idx, mask)
         if depth == 1:
-            return depth1[0] if near[idx] & ~mask else depth1[1]
+            return depth1[0] if uncovered & ~mask & dest_bits[idx] else depth1[1]
         return 0.0
 
     values = []

@@ -160,7 +160,9 @@ def test_values_equal_the_plain_dp_bit_for_bit():
     # == and not approx: greedy tie-breaks compare these floats exactly.
     # Dense windows drive nodes to their ceiling (the early stop); sparse
     # ones reach it rarely and exercise the skip of moves that collect
-    # nothing. Both prune only from horizon 4 on.
+    # nothing. Both prune only from horizon 4 on. 0.618 and 0.619 sit on
+    # either side of gamma + gamma**2 = 1, where idling once and then
+    # collecting twice starts to beat collecting now.
     rng = random.Random(41)
     for radius in range(1, 5):
         for horizon in range(1, 8):
@@ -168,12 +170,37 @@ def test_values_equal_the_plain_dp_bit_for_bit():
                 for bands in (False, True):
                     rows = sweep_window(rng, radius, share, bands)
                     obs = window_obs(rows, position=(radius, radius))
-                    for gamma in (0.0, 0.5, 0.9, 0.99, 0.999):
+                    for gamma in (0.0, 0.3, 0.5, 0.618, 0.619, 0.9, 0.99, 0.999):
                         cfg = ValueOracleConfig(gamma=gamma, horizon=horizon, radius=radius)
                         got = list(action_values(obs, cfg))
                         assert got == dp_values(rows, gamma, horizon), (
                             radius, horizon, share, gamma, rows,
                         )
+
+
+
+def test_idle_moves_scanned_after_the_only_collecting_move_keep_their_values():
+    # From the centre only RIGHT collects, so every node there scans UP,
+    # DOWN and LEFT after it. LEFT idles into a run of two uncovered
+    # cells, which beats the lone cell on the right once gamma + gamma**2
+    # exceeds 1: the greedy action flips between 0.618 and 0.619.
+    U, C = CELL_UNCOVERED, CELL_COVERED
+    rows = [
+        [C, C, C, C, C],
+        [U, C, C, C, C],
+        [U, C, C, U, C],
+        [U, C, C, C, C],
+        [C, C, C, C, C],
+    ]
+    assert [rows[1][2], rows[3][2], rows[2][1], rows[2][3]] == [C, C, C, U]
+    obs = window_obs(rows)
+    for horizon in range(3, 8):
+        for gamma in (0.0, 0.3, 0.5, 0.618, 0.619, 0.9, 0.99):
+            cfg = ValueOracleConfig(gamma=gamma, horizon=horizon, radius=2)
+            got = list(action_values(obs, cfg))
+            assert got == dp_values(rows, gamma, horizon), (horizon, gamma)
+    assert greedy_action(obs, ValueOracleConfig(gamma=0.618, horizon=3)) is Action.RIGHT
+    assert greedy_action(obs, ValueOracleConfig(gamma=0.619, horizon=3)) is Action.LEFT
 
 
 def test_every_out_of_grid_pattern_equals_the_plain_dp_bit_for_bit():
