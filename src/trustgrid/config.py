@@ -352,7 +352,7 @@ def load_scenarios(path: str) -> dict[str, ScenarioConfig]:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from None
+        raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).splitlines())}") from None
 
     base = dict(_DEFAULTS)
     scenario_sections: dict[str, dict[str, str]] = {}

@@ -10,6 +10,7 @@ Output is fully determined by (config, seed list), byte for byte.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import os
 import random
@@ -78,8 +79,6 @@ class RunArtifact:
 
 
 def _mean_timeline(timelines: list[tuple[float, ...]]) -> tuple[float, ...]:
-    if not timelines:
-        return ()
     n = len(timelines)
     return tuple(sum(tl[k] for tl in timelines) / n for k in range(len(timelines[0])))
 
@@ -306,8 +305,11 @@ def artifact_summary(artifact: RunArtifact) -> dict:
 def _write_atomically(writers: dict[str, Callable[[TextIO], None]]) -> None:
     """Call each ``writers[path](fh)`` on a temporary file beside ``path``,
     then move every file into place, so no path is left half-written and
-    a failure in any writer replaces none of them. On failure the
-    temporary files are removed."""
+    a failure in any writer, or a directory at any path, replaces none of
+    them. On failure the temporary files are removed."""
+    for path in writers:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     staged: list[tuple[str, str]] = []
     try:
         for path, write in writers.items():

@@ -117,8 +117,8 @@ def _surprise(values: tuple[float, ...], observed: Action, temperature: float) -
 def kl_score(
     payload: Observation,
     observed: Action,
-    temperature: float = 1.0,
-    oracle: ValueOracleConfig | None = None,
+    temperature: float,
+    oracle: ValueOracleConfig,
 ) -> float:
     """Surprise of the observed action under a softmax policy.
 
@@ -131,15 +131,13 @@ def kl_score(
     """
     if temperature <= 0.0:
         raise ValueError(f"temperature must be > 0, got {temperature}")
-    if oracle is None:
-        oracle = ValueOracleConfig()
     return _surprise(action_values(payload, oracle), observed, temperature)
 
 
 def calibrate_kl_threshold(
     samples: list[tuple[Observation, Action]],
-    temperature: float = 1.0,
-    oracle: ValueOracleConfig | None = None,
+    temperature: float,
+    oracle: ValueOracleConfig,
 ) -> float:
     """Mean surprise score over known-honest (observation, action) samples.
 

@@ -108,6 +108,7 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "[defense]\nconsistency = kl\nkl_threshold = 0.1\ntemperature = inf\n",
         BASE + "[scenario.../escaped]\n",
         BASE + "[scenario.a/b]\n",
+        "orphan = 1\n" + BASE,
     ],
     ids=[
         "narrow_grid",
@@ -123,6 +124,7 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "inf_temperature",
         "scenario_name_escapes_out",
         "scenario_name_has_a_slash",
+        "key_before_any_section",
     ],
 )
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, body):
@@ -213,6 +215,18 @@ def test_unwritable_output_reports_io_failure(tmp_path):
     target.write_text("a file, not a directory")
     code = main(["--config", write(tmp_path, BASE), "--out", str(target)])
     assert code == 1
+
+
+@pytest.mark.parametrize("blocked", ["default.csv", "default.json"])
+def test_a_directory_at_an_artifact_path_is_an_io_failure(tmp_path, capsys, blocked):
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    code = main(["--config", write(tmp_path, BASE), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == [blocked]
 
 
 @pytest.mark.parametrize(

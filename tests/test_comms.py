@@ -79,6 +79,8 @@ def test_graph_rejects_bad_edges():
         CommGraph(adjacency=((0, (1,)), (1, ())))  # asymmetric
     with pytest.raises(ValueError):
         CommGraph(adjacency=((0, (0,)),))  # self-edge
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) references an unknown agent"):
+        CommGraph(adjacency=((0, (5,)),))
 
 
 def test_graph_refuses_a_duplicate_neighbour():

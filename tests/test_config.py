@@ -248,6 +248,7 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[defense]\nrho = -1\n", r"defense\.rho must be non-negative"),
         ("[defense]\ntemperature = 0\n", r"defense\.temperature must be positive"),
         ("[defense]\nkl_threshold = -1\n", r"defense\.kl_threshold must be non-negative"),
+        ("orphan = 1\n[grid]\nwidth = 6\n", "cannot parse config"),
     ],
 )
 def test_rejected_configs(tmp_path, body, pattern):
@@ -264,13 +265,17 @@ def test_topology_must_cover_exactly_the_roster(tmp_path):
 
 def test_replace_with_a_bad_value_raises_at_construction(tmp_path):
     cfg = parse_config(write_config(tmp_path, ""))
-    for bad in (
-        {"seeds": (0, 0)},
-        {"tau": 1.5},
-        {"steps": 1},
-        {"topology": CommGraph.complete([0, 1, 2])},
+    for bad, pattern in (
+        ({"seeds": (0, 0)}, "duplicate seed"),
+        ({"tau": 1.5}, "tau"),
+        ({"steps": 1}, "at least 2"),
+        ({"topology": CommGraph.complete([0, 1, 2])}, "topology"),
+        (
+            {"roster": (cfg.roster[0], replace(cfg.roster[1], agent_id=0), *cfg.roster[2:])},
+            "duplicate agent id in roster",
+        ),
     ):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=pattern):
             replace(cfg, **bad)
 
 

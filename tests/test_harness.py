@@ -693,6 +693,22 @@ def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, failin
     assert [(out / name).read_bytes() for name in names] == before
 
 
+@pytest.mark.parametrize("blocked", ["default.csv", "default.json"])
+def test_a_directory_at_an_artifact_path_replaces_neither_file(tmp_path, blocked):
+    cfg = config_from(tmp_path, ARTIFACT_RUN)
+    out = tmp_path / "out"
+    write_artifact(run_scenario(cfg), str(out))
+    (out / blocked).unlink()
+    (out / blocked).mkdir()
+    kept = "default.json" if blocked == "default.csv" else "default.csv"
+    before = (out / kept).read_bytes()
+    with pytest.raises(IsADirectoryError):
+        write_artifact(run_scenario(replace(cfg, seeds=(7, 8, 9))), str(out))
+    assert sorted(p.name for p in out.iterdir()) == ["default.csv", "default.json"]
+    assert (out / blocked).is_dir()
+    assert (out / kept).read_bytes() == before
+
+
 def test_isolated_agents_produce_no_rows(tmp_path):
     cfg = config_from(
         tmp_path,
