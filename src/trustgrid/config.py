@@ -92,6 +92,9 @@ class ScenarioConfig:
             )
         if not self.seeds:
             raise ConfigError("episode.seeds must name at least one seed")
+        if min(self.seeds) < 0:
+            # random.Random(-n) is seeded like random.Random(n)
+            raise ConfigError(f"episode.seeds must be non-negative, got {min(self.seeds)}")
         check_run_size(self.width, self.height, len(self.seeds), self.steps, len(self.roster))
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"duplicate seed in episode.seeds: {list(self.seeds)}")

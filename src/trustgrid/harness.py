@@ -80,7 +80,7 @@ class RunArtifact:
 
 def _mean_timeline(timelines: list[tuple[float, ...]]) -> tuple[float, ...]:
     n = len(timelines)
-    return tuple(sum(tl[k] for tl in timelines) / n for k in range(len(timelines[0])))
+    return tuple(sum(column) / n for column in zip(*timelines))
 
 
 def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Observation:
@@ -333,10 +333,14 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
     verdict are the peer's, the same on every row that names it; tp/tn/fp/fn
     and f1 are the observer's counts for that step, so each row's counts sum
     to the observer's received-message count. A step's number is its log's
-    position in the episode; the rows after the prefix are formatted once
-    per distinct log and repeated for each frozen step that holds it.
-    Floats use 9 significant digits everywhere. Both files are written in
-    full before either replaces an earlier run's.
+    position in the episode. Each distinct piece of a row is formatted once
+    per call: the ``observer,peer,belief,verdict`` head per distinct
+    value, the ``,tp,tn,fp,fn,f1`` tail per distinct count, and the
+    ``,episode,coverage,`` lead per distinct log. A step's text joins its
+    log's rows with its step number, since every row starts with it, and
+    each episode goes to the file in one write. Floats use 9 significant
+    digits everywhere. Both files are written in full before either
+    replaces an earlier run's.
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = artifact.config
@@ -346,28 +350,42 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
         # no field holds a comma, quote or newline, so none needs CSV quoting
         fh.write(CSV_HEADER + "\n")
         observers = sorted(heard)
+        # two caches, since a head key and a tail key can be equal tuples;
+        # beliefs are clamped with max(0.0, ...), so no key holds -0.0
+        heads: dict[tuple[int, int, float, bool], str] = {}
+        tails: dict[tuple[int, int, int, int], str] = {}
         for ep in artifact.episodes:
-            last = None
+            text, last = [], None
             for t, entry in enumerate(ep.steps, 1):
                 if entry is not last:
-                    last, rows = entry, []
+                    # the leading "" makes the join put the step number
+                    # before every row, the first one included
+                    last, rows = entry, [""]
+                    lead = f",{ep.seed},{entry.coverage:.9g},"
+                    beliefs, verdicts = entry.beliefs, entry.verdicts
                     for observer in observers:
                         counts = entry.confusion[observer]
-                        tail = (
-                            f",{counts.tp},{counts.tn},{counts.fp},{counts.fn},"
-                            f"{f1(counts):.9g}\n"
-                        )
-                        for peer in heard[observer]:
-                            rows.append(
-                                f"{observer},{peer},{entry.beliefs[peer]:.9g},"
-                                f"{entry.verdicts[peer]:d}{tail}"
+                        key = (counts.tp, counts.tn, counts.fp, counts.fn)
+                        tail = tails.get(key)
+                        if tail is None:
+                            tail = tails[key] = (
+                                f",{counts.tp},{counts.tn},{counts.fp},{counts.fn},"
+                                f"{f1(counts):.9g}\n"
                             )
-                prefix = f"{t},{ep.seed},{entry.coverage:.9g},"
-                fh.write("".join([prefix + row for row in rows]))
+                        for peer in heard[observer]:
+                            key = (observer, peer, beliefs[peer], verdicts[peer])
+                            head = heads.get(key)
+                            if head is None:
+                                head = heads[key] = (
+                                    f"{observer},{peer},{beliefs[peer]:.9g},{verdicts[peer]:d}"
+                                )
+                            rows.append(lead + head + tail)
+                text.append(str(t).join(rows))
+            fh.write("".join(text))
 
     def write_json(fh: TextIO) -> None:
-        json.dump(_round_sig(artifact_summary(artifact)), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        summary = _round_sig(artifact_summary(artifact))
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     csv_path = os.path.join(out_dir, f"{cfg.name}.csv")
     json_path = os.path.join(out_dir, f"{cfg.name}.json")

@@ -4,8 +4,8 @@ Everything here recomputes a library quantity by a different method:
 action values by brute-force enumeration of whole action sequences and by
 a plain recursive DP with the library's float operations (the bit-exact
 reference), belief trajectories by a literal replay of the update
-arithmetic, and KL surprise scores via the full five-term divergence sum.
-Nothing imports from trustgrid, so agreement is evidence rather than
+arithmetic, KL surprise scores via the full five-term divergence sum,
+and the artifact CSV by formatting every row on its own. Nothing imports from trustgrid, so agreement is evidence rather than
 tautology.
 """
 
@@ -165,3 +165,38 @@ def kl_surprise(values: list[float], observed: int, temperature: float) -> float
     return sum(
         p * math.log(p / q) for p, q in zip(probs, swapped) if p != q
     )
+
+
+def csv_text(episodes, heard: dict[int, tuple[int, ...]]) -> str:
+    """The artifact CSV, every field of every row formatted on its own.
+
+    ``episodes`` holds (seed, step logs) pairs. A log has ``coverage``,
+    ``beliefs`` and ``verdicts`` per peer, and ``confusion`` per observer
+    with ``tp``, ``tn``, ``fp`` and ``fn``. ``heard`` maps each observer to
+    its peers in row order. F1 is 2*tp / (2*tp + fp + fn), and 1.0 when
+    that denominator is 0.
+    """
+    lines = ["step,episode,coverage,observer,peer,belief,verdict,tp,tn,fp,fn,f1"]
+    for seed, logs in episodes:
+        for t, log in enumerate(logs, 1):
+            for observer in sorted(heard):
+                counts = log.confusion[observer]
+                denom = 2 * counts.tp + counts.fp + counts.fn
+                score = 2 * counts.tp / denom if denom else 1.0
+                for peer in heard[observer]:
+                    fields = [
+                        str(t),
+                        str(seed),
+                        "%.9g" % log.coverage,
+                        str(observer),
+                        str(peer),
+                        "%.9g" % log.beliefs[peer],
+                        "1" if log.verdicts[peer] else "0",
+                        str(counts.tp),
+                        str(counts.tn),
+                        str(counts.fp),
+                        str(counts.fn),
+                        "%.9g" % score,
+                    ]
+                    lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"

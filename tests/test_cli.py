@@ -198,6 +198,16 @@ def test_seed_offset_shifts_every_episode(tmp_path):
     assert seeds_in(out / "default.csv") == [100, 101, 102]
 
 
+def test_a_negative_seed_offset_is_a_usage_error(tmp_path, capsys):
+    # random.Random(-1) places agents as random.Random(1) does, so seed -1
+    # would repeat seed 1's episode
+    out = tmp_path / "artifacts"
+    code = main(["--config", write(tmp_path, BASE), "--out", str(out), "--seed-offset", "-1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: episode.seeds must be non-negative, got -1\n"
+    assert not out.exists()
+
+
 def test_offset_batches_tile_without_overlap(tmp_path):
     # two disjoint batches of the same scenario, the standard split pattern
     a, b = tmp_path / "a", tmp_path / "b"
@@ -286,7 +296,7 @@ ALWAYS_SET = {
     "grid.width": (["2", "3", "5"], ["1", "0", "-3", "2.5", "x", "nan"]),
     "grid.height": (["2", "4"], ["1", "-1", ""]),
     "episode.steps": (["2", "5"], ["1", "0", "-1", "x"]),
-    "episode.seeds": (["0", "0:3", "0,4"], ["2:0", "3:3", "1,1", "", "a:b", "1:x"]),
+    "episode.seeds": (["0", "0:3", "0,4"], ["2:0", "3:3", "1,1", "", "a:b", "1:x", "-3,3"]),
     "oracle.horizon": (["1", "3"], ["0", "-1", "x", "3000"]),
 }
 MAYBE_SET = {

@@ -241,6 +241,8 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[scenario.a\\b]\n", r"\[scenario\.a\\b\] must not contain"),
         ("[episode]\nseeds =\n", "at least one seed"),
         ("[episode]\nseeds = 1,1\n", "duplicate seed"),
+        ("[episode]\nseeds = -3,3\n", r"episode\.seeds must be non-negative, got -3"),
+        ("[episode]\nseeds = -2:3\n", r"episode\.seeds must be non-negative, got -2"),
         ("[oracle]\nhorizon = 0\n", r"oracle\.horizon must be >= 1"),
         ("[oracle]\nhorizon = 990\n", r"oracle\.horizon must be <= 500"),
         ("[oracle]\ngamma = 1.0\n", r"oracle\.gamma must be in \[0, 1\)"),
@@ -267,6 +269,7 @@ def test_replace_with_a_bad_value_raises_at_construction(tmp_path):
     cfg = parse_config(write_config(tmp_path, ""))
     for bad, pattern in (
         ({"seeds": (0, 0)}, "duplicate seed"),
+        ({"seeds": (3, -3)}, r"episode\.seeds must be non-negative"),
         ({"tau": 1.5}, "tau"),
         ({"steps": 1}, "at least 2"),
         ({"topology": CommGraph.complete([0, 1, 2])}, "topology"),

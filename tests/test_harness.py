@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import textwrap
 from dataclasses import replace
@@ -10,6 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from oracles import csv_text
 from windows import window_rows
 
 from trustgrid import harness, trust
@@ -649,6 +651,46 @@ def test_artifact_files_are_complete_and_stable(tmp_path):
             assert fh_a.read() == fh_b.read()
 
 
+SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios", "default.ini")
+
+# criterion 7's run: babble redraws every step, so no episode freezes, and
+# bernoulli gating spreads the beliefs over many values
+BABBLE_BERNOULLI = """
+[grid]
+width = 7
+height = 7
+[episode]
+steps = 40
+seeds = 0:5
+[defense]
+mode = tom
+gating = bernoulli
+tau = 0.6
+[roster]
+falsification = babble
+"""
+
+
+@pytest.mark.parametrize("arm", ["tom", "control", "babble_bernoulli"])
+def test_csv_matches_a_row_by_row_reference(tmp_path, arm):
+    if arm == "babble_bernoulli":
+        cfg = config_from(tmp_path, BABBLE_BERNOULLI)
+    else:
+        # full length, so most episodes end in a frozen tail; control's
+        # triangle leaves the adversary hearing nobody
+        cfg = replace(load_scenarios(SHIPPED)[arm], seeds=(0, 1, 42))
+    artifact = run_scenario(cfg)
+    frozen = sum(
+        a is b for ep in artifact.episodes for a, b in zip(ep.steps, ep.steps[1:])
+    )
+    assert (frozen == 0) == (arm == "babble_bernoulli")
+    csv_path, _ = write_artifact(artifact, str(tmp_path / "out"))
+    heard = {i: cfg.topology.neighbors(i) for i in cfg.agent_ids()}
+    want = csv_text([(ep.seed, ep.steps) for ep in artifact.episodes], heard)
+    with open(csv_path, "rb") as fh:
+        assert fh.read() == want.encode()
+
+
 @pytest.mark.parametrize("failing", ["csv", "json"])
 def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, failing):
     cfg = config_from(tmp_path, ARTIFACT_RUN)
@@ -658,10 +700,11 @@ def test_a_failed_write_leaves_no_partial_artifact(tmp_path, monkeypatch, failin
 
     def failing_f1(counts):
         # raises part-way through the CSV rows: the writer scores each
-        # observer once per distinct step log
+        # distinct count once, each run here holds ten, and the ninth first
+        # appears in the second episode, after the first is in the file
         nonlocal calls
         calls += 1
-        if calls == 40:
+        if calls == 9:
             raise RuntimeError("disk gone")
         return real_f1(counts)
 
