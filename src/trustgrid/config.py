@@ -15,13 +15,7 @@ from enum import Enum
 
 from .comms import AgentSpec, CommGraph, FalsificationStrategy, Role
 from .policies import AdversaryStrategy, ValueOracleConfig
-from .trust import (
-    DEFAULT_STEP_MULTIPLIER,
-    DEFAULT_TAU,
-    ConsistencyConfig,
-    ConsistencyMode,
-    GatingMode,
-)
+from .trust import ConsistencyConfig, ConsistencyMode, GatingMode
 
 
 class ConfigError(ValueError):
@@ -161,8 +155,10 @@ _DEFAULTS: dict[str, str] = {
     "defense.rho": "0.0",
     "defense.kl_threshold": "",
     "defense.temperature": "1.0",
-    "defense.s": str(DEFAULT_STEP_MULTIPLIER),
-    "defense.tau": str(DEFAULT_TAU),
+    # the belief step multiplier: one inconsistent verdict early in an
+    # episode is enough to collapse belief from 1.0 to the floor
+    "defense.s": "3.7",
+    "defense.tau": "0.5",
     "defense.gating": "threshold",
     "comms.topology": "complete",
     "comms.edges": "",
@@ -212,8 +208,9 @@ def _to_enum(key: str, raw: str):
     return table[value]
 
 
-def parse_seeds(raw: str) -> tuple[int, ...]:
-    """Seed list syntax: "a:b" for the half-open range, or comma-separated."""
+def parse_seeds(raw: str) -> range | tuple[int, ...]:
+    """Seed list syntax: "a:b" for the half-open range, or comma-separated.
+    A range stays a ``range`` until its run size is checked."""
     raw = raw.strip()
     if ":" in raw:
         lo_s, _, hi_s = raw.partition(":")
@@ -221,13 +218,7 @@ def parse_seeds(raw: str) -> tuple[int, ...]:
         hi = _to_int("episode.seeds", hi_s)
         if hi <= lo:
             raise ConfigError(f"episode.seeds range {raw!r} is empty")
-        if hi - lo > MAX_RUN_SIZE:
-            # every episode takes at least one agent-step
-            raise ConfigError(
-                f"run too large: episode.seeds range {raw!r} holds {hi - lo} seeds, "
-                f"at most {MAX_RUN_SIZE}"
-            )
-        return tuple(range(lo, hi))
+        return range(lo, hi)
     return tuple(_to_int("episode.seeds", part) for part in raw.split(",") if part.strip())
 
 
@@ -297,8 +288,9 @@ def _build_scenario(name: str, values: dict[str, str]) -> ScenarioConfig:
         raise ConfigError(
             f"roster.adversaries must lie in [0, {n_agents}], got {n_adv}"
         )
-    # before the roster and topology are built
-    check_run_size(width, height, len(seeds), steps, n_agents)
+    # before the seeds, roster and topology are built; len() overflows on huge ranges
+    episodes = seeds.stop - seeds.start if isinstance(seeds, range) else len(seeds)
+    check_run_size(width, height, episodes, steps, n_agents)
     falsification = _to_enum("roster.falsification", values["roster.falsification"])
     acting = _to_enum("roster.acting", values["roster.acting"])
     starts = _parse_starts(values["roster.starts"], n_agents)
@@ -334,7 +326,7 @@ def _build_scenario(name: str, values: dict[str, str]) -> ScenarioConfig:
         width=width,
         height=height,
         steps=steps,
-        seeds=seeds,
+        seeds=tuple(seeds),
         oracle=oracle,
         mode=_to_enum("defense.mode", values["defense.mode"]),
         consistency=consistency,
@@ -348,7 +340,9 @@ def _build_scenario(name: str, values: dict[str, str]) -> ScenarioConfig:
 
 def load_scenarios(path: str) -> dict[str, ScenarioConfig]:
     """Parse a config file into its scenarios, in declaration order."""
-    parser = configparser.ConfigParser(interpolation=None)
+    # a default_section no header can spell: [DEFAULT] is then an unknown
+    # section, not values silently inherited by every section
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path) as fh:
             parser.read_file(fh)
@@ -393,18 +387,3 @@ def load_scenarios(path: str) -> dict[str, ScenarioConfig]:
         out[name] = _build_scenario(name, values)
     return out
 
-
-def parse_config(path: str, scenario: str | None = None) -> ScenarioConfig:
-    """The single scenario a file defines, or a named one from a multi-file."""
-    scenarios = load_scenarios(path)
-    if scenario is not None:
-        if scenario not in scenarios:
-            raise ConfigError(
-                f"no scenario {scenario!r} in {path}; have {sorted(scenarios)}"
-            )
-        return scenarios[scenario]
-    if len(scenarios) > 1:
-        raise ConfigError(
-            f"{path} defines {sorted(scenarios)}; name the scenario to load"
-        )
-    return next(iter(scenarios.values()))

@@ -179,10 +179,6 @@ def step(state: GridState, joint_action: dict[int, Action]) -> tuple[GridState, 
 
 def observe(state: GridState, agent_id: int, radius: int) -> Observation:
     """Truthful local view of the covered map around an agent's position."""
-    if agent_id not in state.positions:
-        raise KeyError(f"unknown agent {agent_id}")
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
     x, y = state.positions[agent_id]
     size = 2 * radius + 1
     width, height = state.width, state.height

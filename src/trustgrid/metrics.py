@@ -100,8 +100,6 @@ def team_f1(confusion: dict[int, ConfusionCounts], roles: dict[int, Role]) -> fl
 
 def summarize(steps: list[StepLog], roles: dict[int, Role]) -> EpisodeSummary:
     """Collapse a full step log into per-episode timelines and totals."""
-    if not steps:
-        raise ValueError("cannot summarize an empty episode log")
     coverage = tuple(entry.coverage for entry in steps)
     totals: dict[int, int] = {i: 0 for i in sorted(roles)}
     f1_timeline = []

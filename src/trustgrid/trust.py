@@ -23,11 +23,6 @@ from enum import Enum
 from .env import Observation
 from .policies import Action, ValueOracleConfig, action_values
 
-# Belief step multiplier: one inconsistent verdict early in an episode is
-# enough to collapse belief from 1.0 to the floor.
-DEFAULT_STEP_MULTIPLIER = 3.7
-DEFAULT_TAU = 0.5
-
 
 class ConsistencyMode(Enum):
     EXACT_MATCH = "exact_match"
@@ -83,10 +78,9 @@ class TrustState:
     t: int = 1
 
 
-def init_trust(senders: Iterable[int], s: float = DEFAULT_STEP_MULTIPLIER) -> TrustState:
-    """Fresh state: full belief in every heard sender, no evidence yet."""
-    if s <= 0.0:
-        raise ValueError(f"belief step multiplier must be positive, got {s}")
+def init_trust(senders: Iterable[int], s: float) -> TrustState:
+    """Fresh state: full belief in every heard sender, no evidence yet. The
+    caller passes the step multiplier ``s``, as ``ScenarioConfig`` checked it."""
     ids = sorted(senders)
     return TrustState(
         beliefs={i: 1.0 for i in ids},
@@ -190,8 +184,6 @@ def update_belief(ts: TrustState, sender: int, verdict: Verdict) -> None:
     streak holds belief at the ceiling and repeated inconsistency pins it
     to the floor.
     """
-    if ts.t < 2:
-        raise ValueError(f"belief update requires step >= 2, got {ts.t}")
     counts = ts.counts[sender]  # KeyError for a sender nobody hears
     counts[1 if verdict.consistent else 0] += 1
     belief = ts.beliefs[sender]
@@ -229,9 +221,9 @@ def step_trust_all(
 def gate_messages(
     ts: TrustState,
     inbox: tuple[Observation, ...],
-    tau: float = DEFAULT_TAU,
-    mode: GatingMode = GatingMode.THRESHOLD,
-    rng: random.Random | None = None,
+    tau: float,
+    mode: GatingMode,
+    rng: random.Random,
 ) -> tuple[Observation, ...]:
     """Drop an inbox's payloads from senders that are not trusted.
 
@@ -239,12 +231,9 @@ def gate_messages(
     so tau = 0 disables gating. Bernoulli mode keeps it with probability
     equal to the belief, drawing one uniform per payload in inbox order.
     Dropped senders simply contribute nothing; the receiving agent
-    proceeds on fewer payloads.
+    proceeds on fewer payloads. The caller passes every value, ``tau`` as
+    ``ScenarioConfig`` checked it; threshold mode never reads ``rng``.
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    if mode is GatingMode.BERNOULLI and rng is None:
-        raise ValueError("bernoulli gating requires an rng")
     kept: list[Observation] = []
     for payload in inbox:
         belief = ts.beliefs[payload.agent_id]  # KeyError for a sender nobody hears

@@ -23,7 +23,7 @@ from trustgrid.comms import (
     Role,
     transmit,
 )
-from trustgrid.config import DefenseMode, ScenarioConfig, load_scenarios, parse_config
+from trustgrid.config import DefenseMode, ScenarioConfig, load_scenarios
 from trustgrid.env import Action, Observation, step
 from trustgrid.harness import run_episode, run_scenario, write_artifact
 from trustgrid.metrics import ConfusionCounts, classify_step, f1
@@ -377,12 +377,12 @@ def test_criterion_5_defense_recovers_team_coverage(capsys, monkeypatch):
     an uncovered cell left to lie about (see README, "Known limitation").
     """
     started = time.monotonic()
-    nodef = run_scenario(parse_config(SHIPPED, "nodef"))
-    tom_cfg = parse_config(SHIPPED, "tom")
+    nodef = run_scenario(load_scenarios(SHIPPED)["nodef"])
+    tom_cfg = load_scenarios(SHIPPED)["tom"]
     material = record_material_lies(monkeypatch, tom_cfg)
     tom = run_scenario(tom_cfg)
     monkeypatch.undo()
-    control = run_scenario(parse_config(SHIPPED, "control"))
+    control = run_scenario(load_scenarios(SHIPPED)["control"])
     nodef_cov = mean(nodef.cooperative_coverages())
     tom_cov = mean(tom.cooperative_coverages())
     control_cov = mean(control.cooperative_coverages())
@@ -476,7 +476,7 @@ def test_criterion_7_reruns_are_byte_identical(tmp_path, capsys):
             """
         )
     )
-    cfg = parse_config(str(path))
+    cfg = load_scenarios(str(path))["default"]
     first = write_artifact(run_scenario(cfg), str(tmp_path / "a"))
     second = write_artifact(run_scenario(cfg), str(tmp_path / "b"))
     matches = []
@@ -516,7 +516,7 @@ def test_criterion_8_confusion_identities_hold(tmp_path, capsys):
             """
         )
     )
-    cfg = parse_config(str(path))
+    cfg = load_scenarios(str(path))["default"]
     csv_path, _ = write_artifact(run_scenario(cfg), str(tmp_path / "out"))
     degree = {i: len(cfg.topology.neighbors(i)) for i in cfg.agent_ids()}
     row_mismatches = 0
@@ -533,7 +533,7 @@ def test_criterion_8_confusion_identities_hold(tmp_path, capsys):
     heard = {i: tuple(j for j in sorted(roles) if j != i) for i in roles}
     sum_mismatches = 0
     for _ in range(50):
-        ts = init_trust(sorted(roles))
+        ts = init_trust(sorted(roles), s=3.7)
         for peer in ts.beliefs:
             ts.beliefs[peer] = rng.random()
         for counts in classify_step(ts, roles, rng.random(), heard).values():

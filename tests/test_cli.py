@@ -109,6 +109,7 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         BASE + "[scenario.../escaped]\n",
         BASE + "[scenario.a/b]\n",
         "orphan = 1\n" + BASE,
+        "[DEFAULT]\ngrid.width = 5\n",
     ],
     ids=[
         "narrow_grid",
@@ -125,6 +126,7 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "scenario_name_escapes_out",
         "scenario_name_has_a_slash",
         "key_before_any_section",
+        "default_section",
     ],
 )
 def test_invalid_config_is_a_usage_error(tmp_path, capsys, body):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import textwrap
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -13,7 +14,6 @@ from trustgrid.config import (
     ConfigError,
     DefenseMode,
     load_scenarios,
-    parse_config,
     parse_seeds,
 )
 from trustgrid.policies import AdversaryStrategy
@@ -27,7 +27,7 @@ def write_config(tmp_path, body):
 
 
 def test_empty_file_yields_the_default_desk_setup(tmp_path):
-    cfg = parse_config(write_config(tmp_path, ""))
+    cfg = load_scenarios(write_config(tmp_path, ""))["default"]
     assert cfg.name == "default"
     assert (cfg.width, cfg.height) == (10, 10)
     assert cfg.steps == 200
@@ -56,7 +56,7 @@ def test_empty_file_yields_the_default_desk_setup(tmp_path):
 
 
 def test_plain_sections_override_defaults(tmp_path):
-    cfg = parse_config(
+    cfg = load_scenarios(
         write_config(
             tmp_path,
             """
@@ -77,7 +77,7 @@ def test_plain_sections_override_defaults(tmp_path):
             acting = consistent_liar
             """,
         )
-    )
+    )["default"]
     assert (cfg.width, cfg.height) == (6, 5)
     assert cfg.steps == 40
     assert cfg.seeds == (3, 5, 9)
@@ -132,16 +132,12 @@ def test_named_scenario_selection(tmp_path):
         grid.width = 7
         """,
     )
-    assert parse_config(path, "a").width == 4
-    assert parse_config(path, "b").width == 7
-    with pytest.raises(ConfigError, match="name the scenario"):
-        parse_config(path)
-    with pytest.raises(ConfigError, match="no scenario 'c'"):
-        parse_config(path, "c")
+    assert load_scenarios(path)["a"].width == 4
+    assert load_scenarios(path)["b"].width == 7
 
 
 def test_edges_topology(tmp_path):
-    cfg = parse_config(
+    cfg = load_scenarios(
         write_config(
             tmp_path,
             """
@@ -150,15 +146,15 @@ def test_edges_topology(tmp_path):
             edges = 1-2, 1-3, 2-3
             """,
         )
-    )
+    )["default"]
     assert cfg.topology.neighbors(0) == ()
     assert cfg.topology.neighbors(1) == (2, 3)
     assert sum(len(nbrs) for _, nbrs in cfg.topology.adjacency) == 6
 
 
 def test_parse_seeds_syntax():
-    assert parse_seeds("0:100") == tuple(range(100))
-    assert parse_seeds("5:8") == (5, 6, 7)
+    assert parse_seeds("0:100") == range(100)
+    assert parse_seeds("5:8") == range(5, 8)
     assert parse_seeds("42") == (42,)
     assert parse_seeds(" 1, 2 , 3 ") == (1, 2, 3)
     with pytest.raises(ConfigError):
@@ -170,7 +166,7 @@ def test_parse_seeds_syntax():
 
 
 def test_explicit_starts_are_applied_and_checked(tmp_path):
-    cfg = parse_config(
+    cfg = load_scenarios(
         write_config(
             tmp_path,
             """
@@ -185,11 +181,11 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
             mode = ideal_coop
             """,
         )
-    )
+    )["default"]
     assert cfg.roster[0].start == (0, 0)
     assert cfg.roster[1].start == (3, 2)
     with pytest.raises(ConfigError, match="outside the grid"):
-        parse_config(
+        load_scenarios(
             write_config(
                 tmp_path,
                 """
@@ -251,22 +247,25 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[defense]\ntemperature = 0\n", r"defense\.temperature must be positive"),
         ("[defense]\nkl_threshold = -1\n", r"defense\.kl_threshold must be non-negative"),
         ("orphan = 1\n[grid]\nwidth = 6\n", "cannot parse config"),
+        # configparser would apply these to every section, or ignore them
+        ("[DEFAULT]\nwidth = 5\n[grid]\nheight = 6\n", r"unknown section \[DEFAULT\]"),
+        ("[DEFAULT]\ngrid.width = 5\n", r"unknown section \[DEFAULT\]"),
     ],
 )
 def test_rejected_configs(tmp_path, body, pattern):
     with pytest.raises(ConfigError, match=pattern):
-        parse_config(write_config(tmp_path, body))
+        load_scenarios(write_config(tmp_path, body))
 
 
 def test_topology_must_cover_exactly_the_roster(tmp_path):
     body = "[roster]\nagents = 2\nadversaries = 0\n[defense]\nmode = ideal_coop\n"
-    cfg = parse_config(write_config(tmp_path, body))
+    cfg = load_scenarios(write_config(tmp_path, body))["default"]
     with pytest.raises(ConfigError, match="topology"):
         replace(cfg, topology=CommGraph.complete([0, 1, 2])).validate()
 
 
 def test_replace_with_a_bad_value_raises_at_construction(tmp_path):
-    cfg = parse_config(write_config(tmp_path, ""))
+    cfg = load_scenarios(write_config(tmp_path, ""))["default"]
     for bad, pattern in (
         ({"seeds": (0, 0)}, "duplicate seed"),
         ({"seeds": (3, -3)}, r"episode\.seeds must be non-negative"),
@@ -283,7 +282,7 @@ def test_replace_with_a_bad_value_raises_at_construction(tmp_path):
 
 
 def test_kl_with_threshold_is_accepted(tmp_path):
-    cfg = parse_config(
+    cfg = load_scenarios(
         write_config(
             tmp_path,
             """
@@ -293,7 +292,7 @@ def test_kl_with_threshold_is_accepted(tmp_path):
             temperature = 0.7
             """,
         )
-    )
+    )["default"]
     assert cfg.consistency.mode is ConsistencyMode.KL
     assert cfg.consistency.kl_threshold == 0.05
     assert cfg.consistency.temperature == 0.7
@@ -301,13 +300,13 @@ def test_kl_with_threshold_is_accepted(tmp_path):
 
 def test_missing_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
-        parse_config(str(tmp_path / "absent.ini"))
+        load_scenarios(str(tmp_path / "absent.ini"))
 
 
 def test_scenarios_reuse_is_independent(tmp_path):
     # same file parsed twice gives equal configs
     path = write_config(tmp_path, "[episode]\nseeds = 0:3\n")
-    assert parse_config(path) == parse_config(path)
+    assert load_scenarios(path)["default"] == load_scenarios(path)["default"]
 
 
 @pytest.mark.parametrize(
@@ -315,7 +314,9 @@ def test_scenarios_reuse_is_independent(tmp_path):
     [
         ("[grid]\nwidth = 1000000\nheight = 1000000\n", "1000000000000 grid cells"),
         ("[grid]\nwidth = 1000001\n", "10000010 grid cells"),
-        ("[episode]\nseeds = 0:1000000000000\n", "holds 1000000000000 seeds"),
+        ("[episode]\nseeds = 0:1000000000000\n", "800000000000000 agent-steps"),
+        # longer than sys.maxsize, so len() of its range would overflow
+        ("[episode]\nseeds = 0:10000000000000000000\n", "8000000000000000000000 agent-steps"),
         ("[episode]\nsteps = 1000000000000\n", "400000000000000 agent-steps"),
         ("[roster]\nagents = 1000000000000\n", "agent-steps"),
         ("[episode]\nseeds = 0:1\nsteps = 2\n[roster]\nagents = 4000\n", "messages per step"),
@@ -323,7 +324,21 @@ def test_scenarios_reuse_is_independent(tmp_path):
 )
 def test_oversized_runs_are_refused_before_anything_is_built(tmp_path, body, pattern):
     with pytest.raises(ConfigError, match=pattern):
-        parse_config(write_config(tmp_path, body))
+        load_scenarios(write_config(tmp_path, body))
+
+
+def test_a_refused_seed_range_is_never_built(tmp_path):
+    # 10**7 seeds of 800 agent-steps each, refused before a tuple of them
+    # (hundreds of MiB) is built
+    path = write_config(tmp_path, "[episode]\nseeds = 0:10000000\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="8000000000 agent-steps"):
+            load_scenarios(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_the_largest_run_size_is_accepted(tmp_path):
@@ -332,7 +347,7 @@ def test_the_largest_run_size_is_accepted(tmp_path):
     assert side * side * 10 == MAX_RUN_SIZE
     body = f"[grid]\nwidth = {side * 10}\nheight = {side}\n[episode]\nseeds = 0:{side * 5}\n"
     body += f"steps = {side // 2}\n[roster]\nagents = 4\n"
-    cfg = parse_config(write_config(tmp_path, body))
+    cfg = load_scenarios(write_config(tmp_path, body))["default"]
     assert cfg.width * cfg.height == len(cfg.seeds) * cfg.steps * len(cfg.roster) == MAX_RUN_SIZE
     with pytest.raises(ConfigError, match="run too large"):
         replace(cfg, width=cfg.width + 1).validate()
@@ -353,11 +368,11 @@ def test_the_largest_run_size_is_accepted(tmp_path):
 )
 def test_oracle_radius_is_bounded_by_the_grid_and_the_run_size(tmp_path, body, pattern):
     with pytest.raises(ConfigError, match=pattern):
-        parse_config(write_config(tmp_path, body))
+        load_scenarios(write_config(tmp_path, body))
 
 
 def test_oracle_radius_may_reach_the_grid_side(tmp_path):
     body = "[grid]\nwidth = 2\nheight = 3\n[oracle]\nradius = 3\n[roster]\nagents = 2\n"
-    assert parse_config(write_config(tmp_path, body)).oracle.radius == 3
+    assert load_scenarios(write_config(tmp_path, body))["default"].oracle.radius == 3
     with pytest.raises(ConfigError, match="oracle.radius = 4"):
-        parse_config(write_config(tmp_path, body.replace("radius = 3", "radius = 4")))
+        load_scenarios(write_config(tmp_path, body.replace("radius = 3", "radius = 4")))

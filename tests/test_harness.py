@@ -16,7 +16,7 @@ from windows import window_rows
 
 from trustgrid import harness, trust
 from trustgrid.comms import FalsificationStrategy, Role, falsify, transmit
-from trustgrid.config import ConfigError, load_scenarios, parse_config
+from trustgrid.config import ConfigError, load_scenarios
 from trustgrid.env import (
     CELL_COVERED,
     CELL_OOB,
@@ -42,10 +42,10 @@ def obs(agent_id, position, rows, t=0):
     return Observation(agent_id, position, np.array(rows, dtype=np.int8), t)
 
 
-def config_from(tmp_path, body, scenario=None):
+def config_from(tmp_path, body):
     path = tmp_path / "run.ini"
     path.write_text(textwrap.dedent(body))
-    return parse_config(str(path), scenario)
+    return load_scenarios(str(path))["default"]
 
 
 def scenarios_from(tmp_path, body):

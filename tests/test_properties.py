@@ -17,7 +17,7 @@ from windows import covered_at, grid, window_rows
 
 from trustgrid import harness
 from trustgrid.comms import CommGraph, FalsificationStrategy
-from trustgrid.config import parse_config
+from trustgrid.config import load_scenarios
 from trustgrid.env import (
     CELL_COVERED,
     CELL_OOB,
@@ -108,7 +108,7 @@ def load_body(body: str):
         path = os.path.join(tmp, "run.ini")
         with open(path, "w") as fh:
             fh.write(body)
-        return parse_config(path)
+        return load_scenarios(path)["default"]
 
 
 @st.composite
