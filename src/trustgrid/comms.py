@@ -83,8 +83,6 @@ class CommGraph:
         for a, b in edges:
             if a not in known or b not in known:
                 raise ValueError(f"edge ({a}, {b}) references an unknown agent")
-            if a == b:
-                raise ValueError(f"self-edge on agent {a}")
             neighbors[a].add(b)
             neighbors[b].add(a)
         return cls(tuple((i, tuple(sorted(neighbors[i]))) for i in ids))

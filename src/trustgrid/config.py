@@ -3,15 +3,22 @@
 A config file sets base values in plain sections and may define any number
 of named ``[scenario.NAME]`` sections that override individual keys using
 dotted ``section.key`` names. A file with no scenario sections defines a
-single scenario called "default".
+single scenario called "default". A file is read as UTF-8, whatever the
+locale; a leading byte-order mark is skipped.
+
+``_KEYS`` declares each key once: its default text and its parser. No
+other module holds a default. Every key of a scenario is parsed, so a
+malformed value is refused even where another key leaves it unused.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
+from typing import Any
 
 from .comms import AgentSpec, CommGraph, FalsificationStrategy, Role
 from .policies import AdversaryStrategy, ValueOracleConfig
@@ -142,45 +149,6 @@ class ScenarioConfig:
         return self.mode is DefenseMode.TOM
 
 
-_DEFAULTS: dict[str, str] = {
-    "grid.width": "10",
-    "grid.height": "10",
-    "episode.steps": "200",
-    "episode.seeds": "0:100",
-    "oracle.gamma": "0.9",
-    "oracle.horizon": "3",
-    "oracle.radius": "2",
-    "defense.mode": "tom",
-    "defense.consistency": "exact_match",
-    "defense.rho": "0.0",
-    "defense.kl_threshold": "",
-    "defense.temperature": "1.0",
-    # the belief step multiplier: one inconsistent verdict early in an
-    # episode is enough to collapse belief from 1.0 to the floor
-    "defense.s": "3.7",
-    "defense.tau": "0.5",
-    "defense.gating": "threshold",
-    "comms.topology": "complete",
-    "comms.edges": "",
-    "roster.agents": "4",
-    "roster.adversaries": "1",
-    "roster.falsification": "lure",
-    "roster.acting": "naive",
-    "roster.starts": "",
-}
-
-# the plain sections; each may set the keys its dotted names above list
-_SECTIONS = {dotted.partition(".")[0] for dotted in _DEFAULTS}
-
-_ENUMS = {
-    "defense.mode": {m.value: m for m in DefenseMode},
-    "defense.consistency": {m.value: m for m in ConsistencyMode},
-    "defense.gating": {m.value: m for m in GatingMode},
-    "roster.falsification": {s.value: s for s in FalsificationStrategy},
-    "roster.acting": {s.value: s for s in AdversaryStrategy},
-}
-
-
 def _to_int(key: str, raw: str) -> int:
     try:
         return int(raw)
@@ -198,14 +166,28 @@ def _to_float(key: str, raw: str) -> float:
     return value
 
 
-def _to_enum(key: str, raw: str):
-    table = _ENUMS[key]
-    value = raw.strip().lower()
-    if value not in table:
-        raise ConfigError(
-            f"{key} must be one of {sorted(table)}, got {raw!r}"
-        )
-    return table[value]
+def _to_optional_float(key: str, raw: str) -> float | None:
+    return _to_float(key, raw.strip()) if raw.strip() else None
+
+
+def _to_choice(enum: type[Enum]) -> Callable[[str, str], Enum]:
+    """A parser for the values of ``enum``, in any case."""
+    table = {member.value: member for member in enum}
+
+    def parse(key: str, raw: str) -> Enum:
+        value = raw.strip().lower()
+        if value not in table:
+            raise ConfigError(f"{key} must be one of {sorted(table)}, got {raw!r}")
+        return table[value]
+
+    return parse
+
+
+def _to_topology(key: str, raw: str) -> str:
+    kind = raw.strip().lower()
+    if kind not in ("complete", "edges"):
+        raise ConfigError(f"{key} must be 'complete' or 'edges', got {kind!r}")
+    return kind
 
 
 def parse_seeds(raw: str) -> range | tuple[int, ...]:
@@ -222,24 +204,17 @@ def parse_seeds(raw: str) -> range | tuple[int, ...]:
     return tuple(_to_int("episode.seeds", part) for part in raw.split(",") if part.strip())
 
 
-def _parse_starts(raw: str, n_agents: int) -> list[tuple[int, int] | None]:
-    raw = raw.strip()
-    if not raw:
-        return [None] * n_agents
+def _to_starts(key: str, raw: str) -> list[tuple[int, int]]:
     cells = []
-    for part in raw.split(";"):
+    for part in raw.split(";") if raw.strip() else ():
         xy = part.split(",")
         if len(xy) != 2:
-            raise ConfigError(f"roster.starts entry {part.strip()!r} is not 'x,y'")
-        cells.append((_to_int("roster.starts", xy[0]), _to_int("roster.starts", xy[1])))
-    if len(cells) != n_agents:
-        raise ConfigError(
-            f"roster.starts lists {len(cells)} cells for {n_agents} agents"
-        )
+            raise ConfigError(f"{key} entry {part.strip()!r} is not 'x,y'")
+        cells.append((_to_int(key, xy[0]), _to_int(key, xy[1])))
     return cells
 
 
-def _parse_edges(raw: str) -> list[tuple[int, int]]:
+def _to_edges(key: str, raw: str) -> list[tuple[int, int]]:
     edges = []
     for part in raw.split(","):
         part = part.strip()
@@ -247,92 +222,112 @@ def _parse_edges(raw: str) -> list[tuple[int, int]]:
             continue
         ab = part.split("-")
         if len(ab) != 2:
-            raise ConfigError(f"comms.edges entry {part!r} is not 'a-b'")
-        edges.append((_to_int("comms.edges", ab[0]), _to_int("comms.edges", ab[1])))
+            raise ConfigError(f"{key} entry {part!r} is not 'a-b'")
+        edges.append((_to_int(key, ab[0]), _to_int(key, ab[1])))
     return edges
 
 
-def _build_scenario(name: str, values: dict[str, str]) -> ScenarioConfig:
-    width = _to_int("grid.width", values["grid.width"])
-    height = _to_int("grid.height", values["grid.height"])
-    steps = _to_int("episode.steps", values["episode.steps"])
-    seeds = parse_seeds(values["episode.seeds"])
+# Every key, once: its default text and the parser that turns a text into
+# its value. A parser takes the dotted key, so its errors name it.
+_KEYS: dict[str, tuple[str, Callable[[str, str], Any]]] = {
+    "grid.width": ("10", _to_int),
+    "grid.height": ("10", _to_int),
+    "episode.steps": ("200", _to_int),
+    "episode.seeds": ("0:100", lambda _, raw: parse_seeds(raw)),
+    "oracle.gamma": ("0.9", _to_float),
+    "oracle.horizon": ("3", _to_int),
+    "oracle.radius": ("2", _to_int),
+    "defense.mode": ("tom", _to_choice(DefenseMode)),
+    "defense.consistency": ("exact_match", _to_choice(ConsistencyMode)),
+    "defense.rho": ("0.0", _to_float),
+    "defense.kl_threshold": ("", _to_optional_float),
+    "defense.temperature": ("1.0", _to_float),
+    # the belief step multiplier: one inconsistent verdict early in an
+    # episode is enough to collapse belief from 1.0 to the floor
+    "defense.s": ("3.7", _to_float),
+    "defense.tau": ("0.5", _to_float),
+    "defense.gating": ("threshold", _to_choice(GatingMode)),
+    "comms.topology": ("complete", _to_topology),
+    "comms.edges": ("", _to_edges),
+    "roster.agents": ("4", _to_int),
+    "roster.adversaries": ("1", _to_int),
+    "roster.falsification": ("lure", _to_choice(FalsificationStrategy)),
+    "roster.acting": ("naive", _to_choice(AdversaryStrategy)),
+    "roster.starts": ("", _to_starts),
+}
+
+# the plain sections; each may set the keys its dotted names above list
+_SECTIONS = {dotted.partition(".")[0] for dotted in _KEYS}
+
+
+def _build_scenario(name: str, texts: dict[str, str]) -> ScenarioConfig:
+    v = {key: parse(key, texts[key]) for key, (_, parse) in _KEYS.items()}
 
     # both configs' range errors start with the field name, so the section
     # prefix turns them into the offending key
-    oracle_fields = {
-        "gamma": _to_float("oracle.gamma", values["oracle.gamma"]),
-        "horizon": _to_int("oracle.horizon", values["oracle.horizon"]),
-        "radius": _to_int("oracle.radius", values["oracle.radius"]),
-    }
     try:
-        oracle = ValueOracleConfig(**oracle_fields)
+        oracle = ValueOracleConfig(
+            gamma=v["oracle.gamma"], horizon=v["oracle.horizon"], radius=v["oracle.radius"]
+        )
     except ValueError as exc:
         raise ConfigError(f"oracle.{exc}") from None
-
-    kl_raw = values["defense.kl_threshold"].strip()
-    consistency_fields = {
-        "mode": _to_enum("defense.consistency", values["defense.consistency"]),
-        "rho": _to_float("defense.rho", values["defense.rho"]),
-        "kl_threshold": _to_float("defense.kl_threshold", kl_raw) if kl_raw else None,
-        "temperature": _to_float("defense.temperature", values["defense.temperature"]),
-    }
     try:
-        consistency = ConsistencyConfig(**consistency_fields)
+        consistency = ConsistencyConfig(
+            mode=v["defense.consistency"],
+            rho=v["defense.rho"],
+            kl_threshold=v["defense.kl_threshold"],
+            temperature=v["defense.temperature"],
+        )
     except ValueError as exc:
         raise ConfigError(f"defense.{exc}") from None
 
-    n_agents = _to_int("roster.agents", values["roster.agents"])
-    n_adv = _to_int("roster.adversaries", values["roster.adversaries"])
+    n_agents, n_adv, seeds = v["roster.agents"], v["roster.adversaries"], v["episode.seeds"]
     if n_adv < 0 or n_adv > n_agents:
         raise ConfigError(
             f"roster.adversaries must lie in [0, {n_agents}], got {n_adv}"
         )
     # before the seeds, roster and topology are built; len() overflows on huge ranges
     episodes = seeds.stop - seeds.start if isinstance(seeds, range) else len(seeds)
-    check_run_size(width, height, episodes, steps, n_agents)
-    falsification = _to_enum("roster.falsification", values["roster.falsification"])
-    acting = _to_enum("roster.acting", values["roster.acting"])
-    starts = _parse_starts(values["roster.starts"], n_agents)
+    check_run_size(v["grid.width"], v["grid.height"], episodes, v["episode.steps"], n_agents)
+    starts = v["roster.starts"] or [None] * n_agents
+    if len(starts) != n_agents:
+        raise ConfigError(
+            f"roster.starts lists {len(starts)} cells for {n_agents} agents"
+        )
     # the lowest ids are the self-interested ones; the classic setup puts
     # the single adversary at id 0
     roster = tuple(
         AgentSpec(
             agent_id=i,
             role=Role.SELF_INTERESTED if i < n_adv else Role.COOPERATIVE,
-            falsification=falsification if i < n_adv else FalsificationStrategy.TRUTHFUL,
-            acting=acting if i < n_adv else AdversaryStrategy.NAIVE,
+            falsification=v["roster.falsification"] if i < n_adv else FalsificationStrategy.TRUTHFUL,
+            acting=v["roster.acting"] if i < n_adv else AdversaryStrategy.NAIVE,
             start=starts[i],
         )
         for i in range(n_agents)
     )
 
-    topology_kind = values["comms.topology"].strip().lower()
-    ids = [spec.agent_id for spec in roster]
-    if topology_kind == "complete":
+    ids = list(range(n_agents))
+    if v["comms.topology"] == "complete":
         topology = CommGraph.complete(ids)
-    elif topology_kind == "edges":
+    else:
         try:
-            topology = CommGraph.from_edges(ids, _parse_edges(values["comms.edges"]))
+            topology = CommGraph.from_edges(ids, v["comms.edges"])
         except ValueError as exc:
             raise ConfigError(f"comms.edges: {exc}") from None
-    else:
-        raise ConfigError(
-            f"comms.topology must be 'complete' or 'edges', got {topology_kind!r}"
-        )
 
     return ScenarioConfig(
         name=name,
-        width=width,
-        height=height,
-        steps=steps,
+        width=v["grid.width"],
+        height=v["grid.height"],
+        steps=v["episode.steps"],
         seeds=tuple(seeds),
         oracle=oracle,
-        mode=_to_enum("defense.mode", values["defense.mode"]),
+        mode=v["defense.mode"],
         consistency=consistency,
-        s=_to_float("defense.s", values["defense.s"]),
-        tau=_to_float("defense.tau", values["defense.tau"]),
-        gating=_to_enum("defense.gating", values["defense.gating"]),
+        s=v["defense.s"],
+        tau=v["defense.tau"],
+        gating=v["defense.gating"],
         roster=roster,
         topology=topology,
     )
@@ -344,22 +339,20 @@ def load_scenarios(path: str) -> dict[str, ScenarioConfig]:
     # section, not values silently inherited by every section
     parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        with open(path) as fh:
+        # the same bytes mean the same config whatever the locale; a leading
+        # byte-order mark is skipped
+        with open(path, encoding="utf-8-sig") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {' '.join(str(exc).splitlines())}") from None
 
-    base = dict(_DEFAULTS)
-    scenario_sections: dict[str, dict[str, str]] = {}
+    base = {key: default for key, (default, _) in _KEYS.items()}
+    overrides: dict[str, dict[str, str]] = {}
     for section in parser.sections():
         if section in _SECTIONS:
-            for key, value in parser.items(section):
-                dotted = f"{section}.{key}"
-                if dotted not in _DEFAULTS:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                base[dotted] = value
+            texts, prefix = base, f"{section}."
         elif section.startswith("scenario."):
             name = section[len("scenario."):]
             if not name:
@@ -369,21 +362,15 @@ def load_scenarios(path: str) -> dict[str, ScenarioConfig]:
                 raise ConfigError(
                     f"scenario name in [{section}] must not contain '/' or '\\'"
                 )
-            overrides = {}
-            for key, value in parser.items(section):
-                if key not in _DEFAULTS:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                overrides[key] = value
-            scenario_sections[name] = overrides
+            texts, prefix = overrides.setdefault(name, {}), ""
         else:
             raise ConfigError(f"unknown section [{section}]")
+        for key, value in parser.items(section):
+            if prefix + key not in _KEYS:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            texts[prefix + key] = value
 
-    if not scenario_sections:
-        scenario_sections = {"default": {}}
-    out: dict[str, ScenarioConfig] = {}
-    for name, overrides in scenario_sections.items():
-        values = dict(base)
-        values.update(overrides)
-        out[name] = _build_scenario(name, values)
-    return out
-
+    return {
+        name: _build_scenario(name, base | texts)
+        for name, texts in (overrides or {"default": {}}).items()
+    }

@@ -60,7 +60,7 @@ class RunArtifact:
         return _mean_timeline([ep.summary.mean_f1_timeline for ep in self.episodes])
 
     def final_coverages(self) -> list[float]:
-        return [ep.summary.final_coverage for ep in self.episodes]
+        return [ep.summary.coverage_timeline[-1] for ep in self.episodes]
 
     def cooperative_coverages(self) -> list[float]:
         """Per episode: fraction of grid cells first covered by cooperative

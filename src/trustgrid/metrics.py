@@ -21,9 +21,6 @@ class ConfusionCounts:
     fp: int = 0  # distrusted cooperative
     fn: int = 0  # trusted adversary
 
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
 
 @dataclass(frozen=True)
 class StepLog:
@@ -40,7 +37,6 @@ class StepLog:
 @dataclass(frozen=True)
 class EpisodeSummary:
     coverage_timeline: tuple[float, ...]
-    final_coverage: float
     mean_f1_timeline: tuple[float, ...]
     reward_totals: dict[int, int]
 
@@ -113,7 +109,6 @@ def summarize(steps: list[StepLog], roles: dict[int, Role]) -> EpisodeSummary:
         f1_timeline.append(score)
     return EpisodeSummary(
         coverage_timeline=coverage,
-        final_coverage=coverage[-1],
         mean_f1_timeline=tuple(f1_timeline),
         reward_totals=totals,
     )

@@ -26,9 +26,9 @@ MAX_HORIZON = 500
 class ValueOracleConfig:
     """Lookahead parameters shared by every agent in a scenario."""
 
-    gamma: float = 0.9
-    horizon: int = 3
-    radius: int = 2
+    gamma: float
+    horizon: int
+    radius: int
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:

@@ -37,10 +37,10 @@ class GatingMode(Enum):
 
 @dataclass(frozen=True)
 class ConsistencyConfig:
-    mode: ConsistencyMode = ConsistencyMode.EXACT_MATCH
-    rho: float = 0.0
-    kl_threshold: float | None = None
-    temperature: float = 1.0
+    mode: ConsistencyMode
+    rho: float
+    kl_threshold: float | None
+    temperature: float
 
     def __post_init__(self) -> None:
         if self.rho < 0.0:

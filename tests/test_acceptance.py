@@ -12,6 +12,7 @@ import os
 import random
 import textwrap
 import time
+from dataclasses import astuple
 
 import numpy as np
 
@@ -96,13 +97,18 @@ def _random_topology(rng, ids):
 def _random_consistency(rng):
     roll = rng.random()
     if roll < 0.6:
-        return ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH)
+        return ConsistencyConfig(
+            mode=ConsistencyMode.EXACT_MATCH, rho=0.0, kl_threshold=None, temperature=1.0
+        )
     if roll < 0.85:
         return ConsistencyConfig(
-            mode=ConsistencyMode.VALUE_THRESHOLD, rho=rng.random() * 0.5
+            mode=ConsistencyMode.VALUE_THRESHOLD,
+            rho=rng.random() * 0.5,
+            kl_threshold=None,
+            temperature=1.0,
         )
     return ConsistencyConfig(
-        mode=ConsistencyMode.KL, kl_threshold=rng.random() * 0.05
+        mode=ConsistencyMode.KL, rho=0.0, kl_threshold=rng.random() * 0.05, temperature=1.0
     )
 
 
@@ -168,7 +174,9 @@ def test_criterion_1_beliefs_stay_in_bounds(capsys):
 def test_criterion_2_score_matches_enumeration_oracle(capsys):
     started = time.monotonic()
     oracle = ValueOracleConfig(gamma=0.9, horizon=3, radius=1)
-    cfg = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
+    cfg = ConsistencyConfig(
+        mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0, kl_threshold=None, temperature=1.0
+    )
     compared = 0
     worst = 0.0
     for window in ternary_windows(3, 4):
@@ -415,7 +423,7 @@ def test_criterion_5_defense_recovers_team_coverage(capsys, monkeypatch):
 
 def test_criterion_6_kl_calibration_matches_recomputation(capsys):
     rng = random.Random(606)
-    oracle = ValueOracleConfig()
+    oracle = ValueOracleConfig(gamma=0.9, horizon=3, radius=2)
     samples = []
     for _ in range(1000):
         rows = [
@@ -537,7 +545,7 @@ def test_criterion_8_confusion_identities_hold(tmp_path, capsys):
         for peer in ts.beliefs:
             ts.beliefs[peer] = rng.random()
         for counts in classify_step(ts, roles, rng.random(), heard).values():
-            if counts.total() != len(roles) - 1:
+            if sum(astuple(counts)) != len(roles) - 1:
                 sum_mismatches += 1
 
     ok = f1_exact and degenerate and rows > 0 and row_mismatches == 0 and sum_mismatches == 0

@@ -45,6 +45,13 @@ def write(tmp_path, body, name="run.ini"):
     return str(path)
 
 
+def module_env(**extra):
+    """The environment that runs ``python -m trustgrid`` from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(trustgrid.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **extra)
+
+
 def seeds_in(csv_path):
     with open(csv_path) as fh:
         return sorted({int(row["episode"]) for row in csv.DictReader(fh)})
@@ -142,6 +149,28 @@ def test_invalid_config_is_a_usage_error(tmp_path, capsys, body):
 
 def test_missing_config_file_is_a_usage_error(tmp_path):
     assert main(["--config", str(tmp_path / "no.ini"), "--out", str(tmp_path)]) == 2
+
+
+def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.ini"
+    config.write_bytes(BASE.encode() + b"# caf\xe9\n")  # Latin-1
+    assert main(["--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {config}: ")
+
+
+def test_a_utf8_config_runs_whatever_the_locale(tmp_path):
+    # a byte-order mark and a non-ASCII comment, read under an ASCII locale
+    config = tmp_path / "run.ini"
+    config.write_bytes(b"\xef\xbb\xbf# agents \xc3\x97 steps\n" + BASE.encode())
+    done = subprocess.run(
+        [sys.executable, "-m", "trustgrid", "--config", str(config), "--out", str(tmp_path / "x")],
+        env=module_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "x" / "default.csv").is_file()
 
 
 def test_episodes_truncates_the_seed_list(tmp_path):
@@ -373,12 +402,9 @@ def test_any_config_exits_2_with_one_error_line_or_writes_finite_json(body):
 
 
 def test_module_form_runs_the_cli():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(trustgrid.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     done = subprocess.run(
         [sys.executable, "-m", "trustgrid", "--help"],
-        env=env,
+        env=module_env(),
         capture_output=True,
         text=True,
         timeout=60,

@@ -222,6 +222,8 @@ def test_explicit_starts_are_applied_and_checked(tmp_path):
         ("[comms]\ntopology = ring\n", "complete"),
         ("[comms]\ntopology = edges\nedges = 1-2, 9-3\n", "comms.edges"),
         ("[comms]\ntopology = edges\nedges = 1:2\n", "not 'a-b'"),
+        # every key is parsed, also one that comms.topology = complete leaves unused
+        ("[comms]\nedges = 1:2\n", "not 'a-b'"),
         ("[defense]\nmode = off\n", "defense.mode"),
         ("[defense]\nconsistency = euclid\n", "defense.consistency"),
         ("[roster]\nfalsification = mirage\n", "roster.falsification"),

@@ -39,26 +39,28 @@ def random_window(rng, size):
 
 
 def test_config_validation():
+    with pytest.raises(TypeError):
+        ValueOracleConfig()  # the config file holds the defaults
     with pytest.raises(ValueError):
-        ValueOracleConfig(gamma=1.0)
+        ValueOracleConfig(gamma=1.0, horizon=3, radius=2)
     with pytest.raises(ValueError):
-        ValueOracleConfig(gamma=-0.1)
+        ValueOracleConfig(gamma=-0.1, horizon=3, radius=2)
     with pytest.raises(ValueError):
-        ValueOracleConfig(horizon=0)
+        ValueOracleConfig(gamma=0.9, horizon=0, radius=2)
     with pytest.raises(ValueError):
-        ValueOracleConfig(radius=-1)
+        ValueOracleConfig(gamma=0.9, horizon=3, radius=-1)
 
 
 def test_fully_covered_window_is_worthless():
     obs = window_obs([[CELL_COVERED] * 5 for _ in range(5)])
-    cfg = ValueOracleConfig()
+    cfg = ValueOracleConfig(gamma=0.9, horizon=3, radius=2)
     assert action_values(obs, cfg) == (0.0,) * 5
     assert greedy_action(obs, cfg) is Action.UP  # first in the tie order
 
 
 def test_the_deepest_horizon_returns_under_pytest():
     with pytest.raises(ValueError, match=f"horizon must be <= {MAX_HORIZON}"):
-        ValueOracleConfig(horizon=MAX_HORIZON + 1)
+        ValueOracleConfig(gamma=0.9, horizon=MAX_HORIZON + 1, radius=2)
     # once the one uncovered cell is collected nothing is left, so the
     # recursion runs every branch to the full depth, one frame per move
     rows = [[CELL_COVERED] * 3 for _ in range(3)]
@@ -125,7 +127,7 @@ def test_values_are_deterministic_across_equal_observations():
     rows = [[CELL_UNCOVERED] * 5 for _ in range(5)]
     a = window_obs(rows, agent_id=1, position=(4, 4))
     b = window_obs(rows, agent_id=3, position=(7, 2), t=9)
-    cfg = ValueOracleConfig()
+    cfg = ValueOracleConfig(gamma=0.9, horizon=3, radius=2)
     assert action_values(a, cfg) == action_values(b, cfg)
 
 
@@ -199,8 +201,8 @@ def test_idle_moves_scanned_after_the_only_collecting_move_keep_their_values():
             cfg = ValueOracleConfig(gamma=gamma, horizon=horizon, radius=2)
             got = list(action_values(obs, cfg))
             assert got == dp_values(rows, gamma, horizon), (horizon, gamma)
-    assert greedy_action(obs, ValueOracleConfig(gamma=0.618, horizon=3)) is Action.RIGHT
-    assert greedy_action(obs, ValueOracleConfig(gamma=0.619, horizon=3)) is Action.LEFT
+    assert greedy_action(obs, ValueOracleConfig(gamma=0.618, horizon=3, radius=2)) is Action.RIGHT
+    assert greedy_action(obs, ValueOracleConfig(gamma=0.619, horizon=3, radius=2)) is Action.LEFT
 
 
 def test_every_out_of_grid_pattern_equals_the_plain_dp_bit_for_bit():

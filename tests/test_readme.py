@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import configparser
 import os
 import re
 import subprocess
 import sys
 
-from trustgrid.config import load_scenarios
+from trustgrid.config import _KEYS, load_scenarios
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -26,6 +27,11 @@ def test_the_config_reference_spells_the_defaults(tmp_path):
     empty = tmp_path / "empty.ini"
     empty.write_text("")
     assert load_scenarios(str(reference)) == load_scenarios(str(empty))
+    # and it lists every key
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(readme_block("ini"))
+    listed = {f"{section}.{key}" for section in parser.sections() for key in parser[section]}
+    assert listed == set(_KEYS)
 
 
 def test_the_kl_calibration_example_prints_zero():

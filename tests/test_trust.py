@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ from trustgrid.trust import (
 )
 
 ORACLE = ValueOracleConfig(gamma=0.9, horizon=1, radius=1)
+EXACT = ConsistencyConfig(
+    mode=ConsistencyMode.EXACT_MATCH, rho=0.0, kl_threshold=None, temperature=1.0
+)
 
 
 def window_obs(rows, agent_id=0, position=(1, 1), t=0):
@@ -63,14 +67,14 @@ def test_value_gap_zero_for_value_ties():
     rows[1][0] = CELL_UNCOVERED
     rows[1][2] = CELL_UNCOVERED
     obs = window_obs(rows)
-    cfg = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
+    cfg = replace(EXACT, mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
     assert consistency_check(ORACLE, obs, Action.LEFT, cfg) == Verdict(True, 0.0)
     assert consistency_check(ORACLE, obs, Action.RIGHT, cfg) == Verdict(True, 0.0)
     assert greedy_action(obs, ORACLE) is Action.LEFT  # earlier in the order
 
 
 def test_exact_match_verdicts():
-    cfg = ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH)
+    cfg = EXACT
     obs = right_window()
     assert consistency_check(ORACLE, obs, Action.RIGHT, cfg) == Verdict(True, 0.0)
     verdict = consistency_check(ORACLE, obs, Action.DOWN, cfg)
@@ -81,9 +85,9 @@ def test_exact_match_verdicts():
 @pytest.mark.parametrize(
     "cfg",
     [
-        ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH),
-        ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1),
-        ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=0.1),
+        EXACT,
+        replace(EXACT, mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1),
+        replace(EXACT, mode=ConsistencyMode.KL, kl_threshold=0.1),
     ],
     ids=lambda cfg: cfg.mode.value,
 )
@@ -110,15 +114,15 @@ def test_exact_match_flags_the_offbrand_tie():
     rows[1][0] = CELL_UNCOVERED
     rows[1][2] = CELL_UNCOVERED
     obs = window_obs(rows)
-    cfg = ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH)
+    cfg = EXACT
     verdict = consistency_check(ORACLE, obs, Action.RIGHT, cfg)
     assert verdict == Verdict(False, 0.0)
 
 
 def test_value_threshold_verdicts():
     obs = right_window()
-    loose = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1)
-    tight = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
+    loose = replace(EXACT, mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1)
+    tight = replace(EXACT, mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
     # greedy action passes every threshold
     assert consistency_check(ORACLE, obs, Action.RIGHT, loose).consistent
     assert consistency_check(ORACLE, obs, Action.RIGHT, tight).consistent
@@ -133,7 +137,7 @@ def test_value_threshold_verdicts():
         [CELL_COVERED, CELL_COVERED, CELL_UNCOVERED],
     ]
     obs2 = window_obs(rows)
-    near = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1)
+    near = replace(EXACT, mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.1)
     up = consistency_check(cfg3, obs2, Action.UP, near)
     assert 0.0 < up.score <= 0.1  # 1.9 down the right column vs 1.81 going up first
     assert up.consistent
@@ -144,8 +148,8 @@ def test_value_threshold_verdicts():
 
 def test_value_threshold_zero_accepts_exact_match_superset():
     rng = random.Random(17)
-    exact = ConsistencyConfig(mode=ConsistencyMode.EXACT_MATCH)
-    zero = ConsistencyConfig(mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
+    exact = EXACT
+    zero = replace(EXACT, mode=ConsistencyMode.VALUE_THRESHOLD, rho=0.0)
     for _ in range(40):
         rows = [
             [rng.choice((CELL_UNCOVERED, CELL_COVERED, CELL_OOB)) for _ in range(3)]
@@ -159,14 +163,16 @@ def test_value_threshold_zero_accepts_exact_match_superset():
 
 
 def test_consistency_config_validation():
+    with pytest.raises(TypeError):
+        ConsistencyConfig()  # the config file holds the defaults
     with pytest.raises(ValueError):
-        ConsistencyConfig(rho=-0.1)
+        replace(EXACT, rho=-0.1)
     with pytest.raises(ValueError):
-        ConsistencyConfig(kl_threshold=-1.0)
+        replace(EXACT, kl_threshold=-1.0)
     with pytest.raises(ValueError):
-        ConsistencyConfig(temperature=0.0)
+        replace(EXACT, temperature=0.0)
     with pytest.raises(ValueError, match="kl_threshold is required"):
-        ConsistencyConfig(mode=ConsistencyMode.KL)
+        replace(EXACT, mode=ConsistencyMode.KL)
 
 
 def test_count_updates():
@@ -219,7 +225,7 @@ def test_belief_trajectories_match_replay_oracle():
 def test_step_trust_all_cooperative_beliefs_stay_at_one():
     ids = [0, 1, 2]
     ts = init_trust(ids, s=3.7)
-    cfg = ConsistencyConfig()
+    cfg = EXACT
     payloads = {i: right_window(agent_id=i) for i in ids}
     actions = {i: Action.RIGHT for i in ids}
     for _ in range(5):
@@ -234,7 +240,7 @@ def test_step_trust_all_cooperative_beliefs_stay_at_one():
 def test_step_trust_all_flags_a_liar_everywhere():
     ids = [0, 1, 2]
     ts = init_trust(ids, s=3.7)
-    cfg = ConsistencyConfig()
+    cfg = EXACT
     payloads = {
         0: window_obs([[CELL_COVERED] * 3 for _ in range(3)], agent_id=0),  # the lie
         1: right_window(agent_id=1),
@@ -272,12 +278,12 @@ def test_step_trust_all_requires_sender_actions():
     ts = init_trust([1], s=3.7)
     payloads = {1: right_window(agent_id=1)}
     with pytest.raises(KeyError):
-        step_trust_all(ts, payloads, {0: Action.STAY}, ConsistencyConfig(), ORACLE)
+        step_trust_all(ts, payloads, {0: Action.STAY}, EXACT, ORACLE)
 
 
 def test_step_trust_all_no_message_no_change():
     ts = init_trust([], s=3.7)
-    assert step_trust_all(ts, {}, {}, ConsistencyConfig(), ORACLE) == {}
+    assert step_trust_all(ts, {}, {}, EXACT, ORACLE) == {}
     assert ts.t == 2
     assert ts.beliefs == {} and ts.counts == {}
 
@@ -356,8 +362,8 @@ def test_kl_mode_verdicts_respect_threshold():
     obs = right_window()
     score = kl_score(obs, Action.DOWN, 1.0, ORACLE)
     assert score > 0.0
-    tight = ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=score / 2)
-    loose = ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=score * 2)
+    tight = replace(EXACT, mode=ConsistencyMode.KL, kl_threshold=score / 2)
+    loose = replace(EXACT, mode=ConsistencyMode.KL, kl_threshold=score * 2)
     assert not consistency_check(ORACLE, obs, Action.DOWN, tight).consistent
     assert consistency_check(ORACLE, obs, Action.DOWN, loose).consistent
 
@@ -367,7 +373,7 @@ def test_kl_score_is_infinite_when_the_softmax_underflows():
     # at temperature 0.001 a value gap of 1 weighs exp(-1000), which is 0.0
     assert softmax(list(action_values(obs, ORACLE)), 0.001)[Action.DOWN] == 0.0
     assert kl_score(obs, Action.DOWN, 0.001, ORACLE) == math.inf
-    cfg = ConsistencyConfig(mode=ConsistencyMode.KL, kl_threshold=0.1, temperature=0.001)
+    cfg = replace(EXACT, mode=ConsistencyMode.KL, kl_threshold=0.1, temperature=0.001)
     verdict = consistency_check(ORACLE, obs, Action.DOWN, cfg)
     assert not verdict.consistent and verdict.score == math.inf
     assert consistency_check(ORACLE, obs, Action.RIGHT, cfg).consistent
