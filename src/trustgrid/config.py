@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -357,11 +358,13 @@ def load_scenarios(path: str) -> dict[str, ScenarioConfig]:
             name = section[len("scenario."):]
             if not name:
                 raise ConfigError("scenario section needs a name: [scenario.NAME]")
+            # the name becomes an artifact file name inside --out
             if "/" in name or "\\" in name:
-                # the name becomes an artifact file name inside --out
-                raise ConfigError(
-                    f"scenario name in [{section}] must not contain '/' or '\\'"
-                )
+                raise ConfigError(f"scenario name in [{section}] must not contain '/' or '\\'")
+            try:
+                os.fsencode(name)
+            except UnicodeEncodeError as exc:
+                raise ConfigError(f"scenario name in [{section}] is not a file name: {exc}") from None
             texts, prefix = overrides.setdefault(name, {}), ""
         else:
             raise ConfigError(f"unknown section [{section}]")

@@ -89,7 +89,9 @@ def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Obse
     Claims are unioned: a cell the agent sees as uncovered flips to covered
     when any retained peer claims it covered. Cells outside the agent's
     window, and claims about them, are ignored. Returns ``own`` unchanged
-    (same object) when no claim lands.
+    (same object) when no claim lands. Every window of a scenario has one
+    size, so a claim moves in by one shift of its bit mask; a claim of
+    another size raises ``ValueError`` once ``own`` has a cell to merge into.
     """
     if not claims:
         return own
@@ -97,26 +99,22 @@ def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Obse
     free = cell_mask(cells, CELL_UNCOVERED)
     if not free:
         return own
-    radius = own.radius
-    size = 2 * radius + 1
+    n, size = len(cells), 2 * own.radius + 1
+    rows = ((1 << n) - 1) // ((1 << size) - 1)  # bit 0 of every row
     x, y = own.position
-    left, top = x - radius, y - radius
     claimed = 0  # own-window bits some claim calls covered
     for payload in claims:
-        claim_radius = payload.radius
-        span = 2 * claim_radius + 1
-        px, py = payload.position
-        # the payload's corner in own-window coordinates, then the
-        # rectangle both windows share
-        dx, dy = px - claim_radius - left, py - claim_radius - top
-        c0, c1 = max(dx, 0), min(dx + span, size)
-        r0, r1 = max(dy, 0), min(dy + span, size)
-        if c0 < c1 and r0 < r1:
-            covered = cell_mask(payload.window_key(), CELL_COVERED)
-            row = (1 << (c1 - c0)) - 1
-            for r in range(r0, r1):
-                # payload cells from (r - dy, c0 - dx) onto own cells from (r, c0)
-                claimed |= (covered >> ((r - dy) * span + c0 - dx) & row) << (r * size + c0)
+        claim = payload.window_key()
+        if len(claim) != n:
+            raise ValueError(f"claim window of {len(claim)} cells merged into a window of {n}")
+        dx, dy = payload.position[0] - x, payload.position[1] - y
+        if -size < dx < size:
+            # the claim's columns that stay in the own window once moved dx;
+            # rows moved past the top or bottom drop off at the shift or at & free
+            columns = ((1 << size - abs(dx)) - 1) << max(-dx, 0)
+            kept = cell_mask(claim, CELL_COVERED) & columns * rows
+            shift = dy * size + dx
+            claimed |= kept << shift if shift >= 0 else kept >> -shift
     landed = claimed & free
     if not landed:
         return own
@@ -155,7 +153,7 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     roles = cfg.roles()
     ids = sorted(roster)
     radius = cfg.oracle.radius
-    heard = {i: cfg.topology.neighbors(i) for i in ids}
+    heard = dict(cfg.topology.adjacency)
     trust = init_trust({j for i in ids for j in heard[i]}, cfg.s)
     gating = cfg.gating_enabled()
     redraws = any(spec.falsification in RANDOM_FALSIFICATIONS for spec in cfg.roster)
@@ -255,9 +253,7 @@ def _echo_config(cfg: ScenarioConfig) -> dict:
             }
             for spec in cfg.roster
         ],
-        "topology": sorted(
-            [i, j] for i in cfg.topology.agents() for j in cfg.topology.neighbors(i) if i < j
-        ),
+        "topology": sorted([i, j] for i, nbrs in cfg.topology.adjacency for j in nbrs if i < j),
     }
 
 
@@ -344,7 +340,7 @@ def write_artifact(artifact: RunArtifact, out_dir: str) -> tuple[str, str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     cfg = artifact.config
-    heard = {i: cfg.topology.neighbors(i) for i in cfg.agent_ids()}
+    heard = dict(cfg.topology.adjacency)
 
     def write_csv(fh: TextIO) -> None:
         # no field holds a comma, quote or newline, so none needs CSV quoting

@@ -173,6 +173,25 @@ def test_a_utf8_config_runs_whatever_the_locale(tmp_path):
     assert (tmp_path / "x" / "default.csv").is_file()
 
 
+def test_a_scenario_name_the_file_system_cannot_encode_is_a_usage_error(tmp_path):
+    # under an ASCII locale "café.csv" cannot be a file name: refused before
+    # anything runs or --out is made
+    config = tmp_path / "run.ini"
+    config.write_bytes(BASE.encode() + "[scenario.café]\n".encode())
+    out = tmp_path / "x"
+    done = subprocess.run(
+        [sys.executable, "-m", "trustgrid", "--config", str(config), "--out", str(out)],
+        env=module_env(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: scenario name in [scenario.caf")
+    assert done.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 def test_episodes_truncates_the_seed_list(tmp_path):
     out = tmp_path / "artifacts"
     code = main(

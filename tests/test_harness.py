@@ -99,6 +99,13 @@ def test_merge_with_nothing_new_returns_own_object():
     assert merge_observation(fresh, (blank,)) is fresh
 
 
+def test_merge_refuses_a_claim_of_another_window_size():
+    own = obs(1, (2, 2), [[U] * 3] * 3)
+    wide = obs(2, (2, 2), [[C] * 5] * 5)
+    with pytest.raises(ValueError, match="claim window of 25 cells merged into a window of 9"):
+        merge_observation(own, (wide,))
+
+
 def test_merge_unions_claims_across_messages():
     own = obs(1, (2, 2), [[U] * 3] * 3)
     a = obs(2, (2, 2), [[C, U, U], [U, U, U], [U, U, U]])

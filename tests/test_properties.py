@@ -32,14 +32,20 @@ FLAGS = (CELL_UNCOVERED, CELL_COVERED, CELL_OOB)
 
 
 @st.composite
-def windows(draw, agent_id):
-    radius = draw(st.integers(1, 3))
+def windows(draw, agent_id, radius):
     size = 2 * radius + 1
     flat = draw(st.lists(st.sampled_from(FLAGS), min_size=size * size, max_size=size * size))
     # wide enough that a payload can overlap the own window partly, wholly
-    # or not at all, at any pair of radii
+    # or not at all, at any radius
     position = (draw(st.integers(-4, 13)), draw(st.integers(-4, 13)))
     return Observation(agent_id, position, np.array(flat, dtype=np.int8).reshape(size, size), 0)
+
+
+@st.composite
+def merges(draw):
+    """An own window and up to four claims, all of one size, as in a scenario."""
+    radius = draw(st.integers(1, 3))
+    return draw(windows(0, radius)), draw(st.lists(windows(1, radius), max_size=4))
 
 
 def grid_cells(obs):
@@ -54,8 +60,9 @@ def grid_cells(obs):
 
 
 @settings(deadline=None, max_examples=200)
-@given(own=windows(0), payloads=st.lists(windows(1), max_size=4))
-def test_merge_never_uncovers_and_covers_only_claimed_cells(own, payloads):
+@given(case=merges())
+def test_merge_never_uncovers_and_covers_only_claimed_cells(case):
+    own, payloads = case
     result = merge_observation(own, tuple(payloads))
     merged = grid_cells(result)
     claimed = {
