@@ -107,12 +107,6 @@ class CommGraph:
     def agents(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.adjacency)
 
-    def neighbors(self, agent_id: int) -> tuple[int, ...]:
-        for i, nbrs in self.adjacency:
-            if i == agent_id:
-                return nbrs
-        raise KeyError(f"unknown agent {agent_id}")
-
 
 def falsify(
     obs: Observation,

@@ -359,8 +359,9 @@ def load_scenarios(path: str) -> dict[str, ScenarioConfig]:
             if not name:
                 raise ConfigError("scenario section needs a name: [scenario.NAME]")
             # the name becomes an artifact file name inside --out
-            if "/" in name or "\\" in name:
-                raise ConfigError(f"scenario name in [{section}] must not contain '/' or '\\'")
+            if "/" in name or "\\" in name or "\x00" in name:
+                shown = section.replace("\x00", "\\x00")  # a raw NUL would not print
+                raise ConfigError(f"scenario name in [{shown}] must not contain '/', '\\' or NUL")
             try:
                 os.fsencode(name)
             except UnicodeEncodeError as exc:

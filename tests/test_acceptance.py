@@ -341,7 +341,7 @@ def detection_scores(artifact, material):
     liars_heard = {
         observer: [
             peer
-            for peer in cfg.topology.neighbors(observer)
+            for peer in dict(cfg.topology.adjacency)[observer]
             if roles[peer] is Role.SELF_INTERESTED
         ]
         for observer in sorted(roles)
@@ -416,7 +416,8 @@ def test_criterion_5_defense_recovers_team_coverage(capsys, monkeypatch):
         f"observer-steps with a material lie {caught:.3f} >= 0.9: {caught_ok}; "
         f"{elapsed:.0f}s < 300s: {runtime_ok}; reported, not gated: team F1 step "
         f">= 50 min {min(f1_tail):.4f} mean {mean(f1_tail):.4f}, liar kept flagged "
-        f"for {held:.3f} of the steps after its first flag",
+        f"for {held:.3f} of the steps after its first flag; caught only through "
+        f"exact_match's first-max tie-break (value_threshold and kl never flag it)",
     )
     assert ok, line
 
@@ -526,7 +527,7 @@ def test_criterion_8_confusion_identities_hold(tmp_path, capsys):
     )
     cfg = load_scenarios(str(path))["default"]
     csv_path, _ = write_artifact(run_scenario(cfg), str(tmp_path / "out"))
-    degree = {i: len(cfg.topology.neighbors(i)) for i in cfg.agent_ids()}
+    degree = {i: len(nbrs) for i, nbrs in cfg.topology.adjacency}
     row_mismatches = 0
     rows = 0
     with open(csv_path) as fh:

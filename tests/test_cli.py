@@ -115,6 +115,7 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "[defense]\nconsistency = kl\nkl_threshold = 0.1\ntemperature = inf\n",
         BASE + "[scenario.../escaped]\n",
         BASE + "[scenario.a/b]\n",
+        BASE + "[scenario.a\x00b]\n",
         "orphan = 1\n" + BASE,
         "[DEFAULT]\ngrid.width = 5\n",
     ],
@@ -132,6 +133,7 @@ def test_unknown_scenario_is_a_usage_error(tmp_path, capsys):
         "inf_temperature",
         "scenario_name_escapes_out",
         "scenario_name_has_a_slash",
+        "scenario_name_has_a_nul",
         "key_before_any_section",
         "default_section",
     ],

@@ -147,9 +147,7 @@ def test_edges_topology(tmp_path):
             """,
         )
     )["default"]
-    assert cfg.topology.neighbors(0) == ()
-    assert cfg.topology.neighbors(1) == (2, 3)
-    assert sum(len(nbrs) for _, nbrs in cfg.topology.adjacency) == 6
+    assert dict(cfg.topology.adjacency) == {0: (), 1: (2, 3), 2: (1, 3), 3: (1, 2)}
 
 
 def test_parse_seeds_syntax():

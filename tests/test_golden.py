@@ -1,28 +1,28 @@
 """Golden artifacts over the whole scenario space.
 
 Every combination of falsification x acting x consistency x gating x
-topology runs in `tom` mode on a small grid, and each scenario's CSV and
-JSON must hash to the digest recorded in ``golden_digests.json``. The
-digests were recorded before the engine was refactored; a change that
-moves one of them changes artifact bytes and must say so.
+topology runs in `tom` mode on a small grid: 144 scenarios, 288 files,
+each pinned in ``tests/digests/golden.json``. The digests were recorded
+before the engine was refactored; a change that moves one of them
+changes artifact bytes and must say so. Every JSON echoes its scenario's
+name, so no two JSON digests are equal. Only 30 of the 144 CSVs differ:
+the ``cutoff`` adversary, for one, is heard by nobody, so a naive liar's
+falsification never shows in a row.
 
-Regenerate (only for an intended change of artifact bytes) with
-``PYTHONPATH=src python tests/test_golden.py``.
+The parked sweep runs the same scenarios for 60 steps, long enough to
+freeze (``golden_parked.json``, recorded while every step was still
+simulated). On the small grid 10,966 of its 17,280 steps move no agent,
+against 8 of 4,320 at 15 steps, and the engine fast-forwards 6,136 steps
+of episodes that reached a fixed point.
 """
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
-import os
-import sys
-import tempfile
 
-from trustgrid.config import load_scenarios
-from trustgrid.harness import run_scenario, write_artifact
+from digests import assert_digests, text_digests
 
-DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+from trustgrid import harness
 
 BASE = """\
 [grid]
@@ -51,7 +51,7 @@ TOPOLOGIES = {
 }
 
 
-def sweep_config(steps: int = 15) -> str:
+def sweep_config(steps: int) -> str:
     sections = [BASE.format(steps=steps)]
     for falsification, acting, consistency, gating, topology in itertools.product(
         FALSIFICATIONS, ACTINGS, CONSISTENCIES, GATINGS, TOPOLOGIES
@@ -69,37 +69,29 @@ def sweep_config(steps: int = 15) -> str:
     return "\n".join(sections)
 
 
-def sweep_digests(work_dir: str, steps: int = 15) -> dict[str, str]:
-    """SHA-256 of each scenario's CSV bytes followed by its JSON bytes."""
-    path = os.path.join(work_dir, "sweep.ini")
-    with open(path, "w") as fh:
-        fh.write(sweep_config(steps))
-    digests = {}
-    for name, cfg in load_scenarios(path).items():
-        csv_path, json_path = write_artifact(run_scenario(cfg), work_dir)
-        sha = hashlib.sha256()
-        for artifact_path in (csv_path, json_path):
-            with open(artifact_path, "rb") as fh:
-                sha.update(fh.read())
-        digests[name] = sha.hexdigest()
-    return digests
+SWEEPS = {"golden": 15, "golden_parked": 60}  # digest set: steps
+
+
+def check_sweep(name: str, tmp_path) -> None:
+    got = text_digests(sweep_config(SWEEPS[name]), str(tmp_path))
+    assert len(got) == 2 * 144
+    assert len({sha for file, sha in got.items() if file.endswith(".json")}) == 144
+    assert_digests(name, got)
 
 
 def test_sweep_reproduces_golden_digests(tmp_path):
-    with open(DIGESTS) as fh:
-        expected = json.load(fh)
-    got = sweep_digests(str(tmp_path))
-    assert len(got) == 144
-    assert len(set(expected.values())) == len(expected)
-    assert sorted(got) == sorted(expected)
-    changed = sorted(name for name in got if got[name] != expected[name])
-    assert not changed, f"artifact bytes changed for {len(changed)} scenarios: {changed}"
+    check_sweep("golden", tmp_path)
 
 
-if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as work:
-        digests = sweep_digests(work)
-    with open(DIGESTS, "w") as fh:
-        json.dump(digests, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+def test_parked_sweep_reproduces_golden_digests(tmp_path, monkeypatch):
+    transmits = 0  # one per simulated step
+    transmit = harness.transmit
+
+    def counted_transmit(*args):
+        nonlocal transmits
+        transmits += 1
+        return transmit(*args)
+
+    monkeypatch.setattr(harness, "transmit", counted_transmit)
+    check_sweep("golden_parked", tmp_path)
+    assert 144 * 2 * SWEEPS["golden_parked"] - transmits == 6136  # steps fast-forwarded

@@ -310,7 +310,7 @@ def test_each_step_observes_each_agent_and_judges_each_heard_sender_once(
     assert 0 < simulated < cfg.steps  # the episode freezes part-way
     assert_frozen_tail(log, ep, simulated)
     assert observed == [t for t in range(simulated) for _ in cfg.roster]
-    senders = {j for i in cfg.agent_ids() for j in cfg.topology.neighbors(i)}
+    senders = {j for _, nbrs in cfg.topology.adjacency for j in nbrs}
     assert len(senders) == heard_senders
     assert judged == heard_senders * simulated
 
@@ -692,7 +692,7 @@ def test_csv_matches_a_row_by_row_reference(tmp_path, arm):
     )
     assert (frozen == 0) == (arm == "babble_bernoulli")
     csv_path, _ = write_artifact(artifact, str(tmp_path / "out"))
-    heard = {i: cfg.topology.neighbors(i) for i in cfg.agent_ids()}
+    heard = dict(cfg.topology.adjacency)
     want = csv_text([(ep.seed, ep.steps) for ep in artifact.episodes], heard)
     with open(csv_path, "rb") as fh:
         assert fh.read() == want.encode()

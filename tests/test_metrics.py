@@ -85,7 +85,7 @@ def test_classify_never_counts_self():
         (CommGraph.complete(ids), {i: len(ROLES) - 1 for i in ids}),
         (CommGraph.from_edges(ids, [(0, 1), (1, 2), (1, 3)]), {0: 1, 1: 3, 2: 1, 3: 1}),
     ):
-        heard = {i: graph.neighbors(i) for i in ids}
+        heard = dict(graph.adjacency)
         confusion = classify_step(state_with({}), ROLES, tau=0.5, heard=heard)
         assert sorted(confusion) == ids
         for observer, counts in confusion.items():
