@@ -22,7 +22,14 @@ def _adjust_seeds(
     if episodes is not None:
         if episodes < 1:
             raise ConfigError(f"--episodes must be at least 1, got {episodes}")
-        check_run_size(cfg.width, cfg.height, episodes, cfg.steps, len(cfg.roster))
+        check_run_size(
+            cfg.width,
+            cfg.height,
+            episodes,
+            cfg.steps,
+            len(cfg.roster),
+            cfg.topology.directed_edges(),
+        )
         if episodes <= len(seeds):
             seeds = seeds[:episodes]
         else:

@@ -8,7 +8,9 @@ falsification strategy.
 
 from __future__ import annotations
 
+import io
 import random
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -20,6 +22,14 @@ POSITION_SPOOF_CANDIDATES = 8
 
 # bytes.translate table for a lure payload: every uncovered cell reads covered
 _LURE = bytes.maketrans(bytes([CELL_UNCOVERED]), bytes([CELL_COVERED]))
+
+# bytes.translate table from the byte holding a random() draw's top bit to
+# the babbled cell: covered when the bit is clear, that is when the draw is
+# below 0.5
+_COIN = bytes(CELL_COVERED if byte < 0x80 else CELL_UNCOVERED for byte in range(256))
+
+# a maximal run of in-grid cells in a window
+_IN_GRID_RUNS = re.compile(b"[^%c]+" % CELL_OOB)
 
 
 class Role(Enum):
@@ -107,6 +117,10 @@ class CommGraph:
     def agents(self) -> tuple[int, ...]:
         return tuple(i for i, _ in self.adjacency)
 
+    def directed_edges(self) -> int:
+        """Messages per step: one per (receiver, heard sender) pair."""
+        return sum(len(nbrs) for _, nbrs in self.adjacency)
+
 
 def falsify(
     obs: Observation,
@@ -127,11 +141,14 @@ def falsify(
         return Observation(obs.agent_id, obs.position, cells.translate(_LURE), obs.t)
 
     if strategy is FalsificationStrategy.BABBLE:
-        # one draw per in-grid cell, in row-major order
-        babbled = bytes(
-            cell if cell == CELL_OOB else CELL_COVERED if rng.random() < 0.5 else CELL_UNCOVERED
-            for cell in cells
-        )
+        # one random() draw per in-grid cell, in row-major order, taken in
+        # one call: each draw is two 32-bit words and is < 0.5 exactly when
+        # its first word's top bit is clear, the top bit of byte 3 of its
+        # 8 little-endian bytes
+        n = len(cells) - cells.count(CELL_OOB)
+        coins = rng.getrandbits(64 * n).to_bytes(8 * n, "little")[3::8].translate(_COIN)
+        draws = io.BytesIO(coins)
+        babbled = _IN_GRID_RUNS.sub(lambda run: draws.read(len(run[0])), cells)
         return Observation(obs.agent_id, obs.position, babbled, obs.t)
 
     if strategy is FalsificationStrategy.POSITION_SPOOF:

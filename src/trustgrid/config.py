@@ -30,20 +30,29 @@ class ConfigError(ValueError):
     pass
 
 
-# The most grid cells, agent-steps (episodes x steps x agents) or messages
-# per step (agents x (agents - 1)) one run may ask for. Its memory and time
+# The most grid cells, agent-steps (episodes x steps x agents), messages
+# per step (agents x (agents - 1)) or observer-peer CSV rows (episodes x
+# steps x directed edges) one run may ask for. Its memory, time and output
 # grow with each, so a larger run is refused (exit 2) before any of it is
-# allocated; the shipped arms take 100 cells and 80,000 agent-steps each.
+# allocated; the shipped arms take 100 cells, 80,000 agent-steps and at
+# most 240,000 rows each.
 MAX_RUN_SIZE = 10**7
 
 
-def check_run_size(width: int, height: int, episodes: int, steps: int, agents: int) -> None:
-    """Raise ``ConfigError`` when a size exceeds ``MAX_RUN_SIZE``. A size
-    with a factor below 1 is left to ``ScenarioConfig.validate``."""
+def check_run_size(
+    width: int, height: int, episodes: int, steps: int, agents: int, edges: int
+) -> None:
+    """Raise ``ConfigError`` when a size exceeds ``MAX_RUN_SIZE``. ``edges``
+    counts the topology's directed edges. A size with a factor below 1 is
+    left to ``ScenarioConfig.validate``."""
     for what, factors in (
         ("grid cells (grid.width x grid.height)", (width, height)),
         ("agent-steps (episodes x episode.steps x roster.agents)", (episodes, steps, agents)),
         ("messages per step (roster.agents x (roster.agents - 1))", (agents, agents - 1)),
+        (
+            "observer-peer rows (episodes x episode.steps x directed comms edges)",
+            (episodes, steps, edges),
+        ),
     ):
         size = math.prod(factors)
         if size > MAX_RUN_SIZE and min(factors) > 0:
@@ -97,7 +106,14 @@ class ScenarioConfig:
         if min(self.seeds) < 0:
             # random.Random(-n) is seeded like random.Random(n)
             raise ConfigError(f"episode.seeds must be non-negative, got {min(self.seeds)}")
-        check_run_size(self.width, self.height, len(self.seeds), self.steps, len(self.roster))
+        check_run_size(
+            self.width,
+            self.height,
+            len(self.seeds),
+            self.steps,
+            len(self.roster),
+            self.topology.directed_edges(),
+        )
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"duplicate seed in episode.seeds: {list(self.seeds)}")
         if not 0.0 <= self.tau <= 1.0:
@@ -289,7 +305,11 @@ def _build_scenario(name: str, texts: dict[str, str]) -> ScenarioConfig:
         )
     # before the seeds, roster and topology are built; len() overflows on huge ranges
     episodes = seeds.stop - seeds.start if isinstance(seeds, range) else len(seeds)
-    check_run_size(v["grid.width"], v["grid.height"], episodes, v["episode.steps"], n_agents)
+    if v["comms.topology"] == "complete":
+        edges = n_agents * (n_agents - 1)
+    else:
+        edges = 2 * len({(min(a, b), max(a, b)) for a, b in v["comms.edges"] if a != b})
+    check_run_size(v["grid.width"], v["grid.height"], episodes, v["episode.steps"], n_agents, edges)
     starts = v["roster.starts"] or [None] * n_agents
     if len(starts) != n_agents:
         raise ConfigError(

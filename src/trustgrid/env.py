@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 from math import isqrt
 from typing import TYPE_CHECKING
 
@@ -177,21 +178,31 @@ def step(state: GridState, joint_action: dict[int, Action]) -> tuple[GridState, 
     return next_state, rewards
 
 
-def observe(state: GridState, agent_id: int, radius: int) -> Observation:
-    """Truthful local view of the covered map around an agent's position."""
-    x, y = state.positions[agent_id]
+@lru_cache(maxsize=1 << 12)
+def _window_layout(
+    width: int, height: int, radius: int, x: int, y: int
+) -> tuple[bytes, bytes, bytes, tuple[slice, ...]]:
+    """How a window of ``radius`` centred on (x, y) is cut from a
+    ``width`` x ``height`` grid's row-major cells: the out-of-grid cells
+    before its first in-grid cell, between one row's in-grid cells and the
+    next's, and after its last, and the slice of each in-grid row."""
     size = 2 * radius + 1
-    width, height = state.width, state.height
     x0, x1 = max(0, x - radius), min(width, x + radius + 1)
     y0, y1 = max(0, y - radius), min(height, y + radius + 1)
-    covered = state.covered
-    # out-of-grid cells before the first in-grid cell, between one row's
-    # in-grid cells and the next's, and after the last
     lead = _OOB * ((y0 - y + radius) * size + x0 - x + radius)
     gap = _OOB * (size - (x1 - x0))
     tail = _OOB * ((y + radius + 1 - y1) * size + x + radius + 1 - x1)
-    rows = gap.join([covered[row * width + x0 : row * width + x1] for row in range(y0, y1)])
-    return Observation(agent_id, (x, y), b"".join((lead, rows, tail)), state.t)
+    rows = tuple(slice(row * width + x0, row * width + x1) for row in range(y0, y1))
+    return lead, gap, tail, rows
+
+
+def observe(state: GridState, agent_id: int, radius: int) -> Observation:
+    """Truthful local view of the covered map around an agent's position."""
+    x, y = state.positions[agent_id]
+    lead, gap, tail, rows = _window_layout(state.width, state.height, radius, x, y)
+    covered = state.covered
+    cells = b"".join((lead, gap.join([covered[row] for row in rows]), tail))
+    return Observation(agent_id, (x, y), cells, state.t)
 
 
 def coverage_fraction(state: GridState) -> float:

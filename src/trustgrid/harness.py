@@ -91,30 +91,32 @@ def merge_observation(own: Observation, claims: tuple[Observation, ...]) -> Obse
     window, and claims about them, are ignored. Returns ``own`` unchanged
     (same object) when no claim lands. Every window of a scenario has one
     size, so a claim moves in by one shift of its bit mask; a claim of
-    another size raises ``ValueError`` once ``own`` has a cell to merge into.
+    another size raises ``ValueError``, whatever the windows hold.
     """
-    if not claims:
-        return own
     cells = own.window_key()
-    free = cell_mask(cells, CELL_UNCOVERED)
-    if not free:
-        return own
     n, size = len(cells), 2 * own.radius + 1
-    rows = ((1 << n) - 1) // ((1 << size) - 1)  # bit 0 of every row
     x, y = own.position
+    free = None  # own's uncovered cells, read at the first claim that can land
     claimed = 0  # own-window bits some claim calls covered
     for payload in claims:
         claim = payload.window_key()
         if len(claim) != n:
             raise ValueError(f"claim window of {len(claim)} cells merged into a window of {n}")
         dx, dy = payload.position[0] - x, payload.position[1] - y
-        if -size < dx < size:
+        if not (-size < dx < size and -size < dy < size):
+            continue  # the claim shares no row or no column with own
+        if free is None:
+            free = cell_mask(cells, CELL_UNCOVERED)
+            rows = ((1 << n) - 1) // ((1 << size) - 1)  # bit 0 of every row
+        if free:
             # the claim's columns that stay in the own window once moved dx;
             # rows moved past the top or bottom drop off at the shift or at & free
             columns = ((1 << size - abs(dx)) - 1) << max(-dx, 0)
             kept = cell_mask(claim, CELL_COVERED) & columns * rows
             shift = dy * size + dx
             claimed |= kept << shift if shift >= 0 else kept >> -shift
+    if not free:
+        return own
     landed = claimed & free
     if not landed:
         return own

@@ -48,32 +48,60 @@ class AdversaryStrategy(Enum):
     CONSISTENT_LIAR = "consistent_liar"  # greedy on the view it transmitted
 
 
-@lru_cache(maxsize=None)
-def _window_moves(size: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """Per cell of a size x size window: the destination of each action in
-    ``Action`` order, a move off the window staying put, and the bitmask of
-    those destinations."""
-    moves = []
-    for idx in range(size * size):
-        row, col = divmod(idx, size)
-        dests = []
-        for action in Action:
-            dx, dy = ACTION_DELTAS[action]
-            nr, nc = row + dy, col + dx
-            dests.append(nr * size + nc if 0 <= nr < size and 0 <= nc < size else idx)
-        moves.append(tuple(dests))
-    return tuple(moves), tuple(sum(1 << d for d in set(dests)) for dests in moves)
-
-
 @lru_cache(maxsize=1 << 8)
-def _edge_moves(size: int, oob: int) -> tuple[tuple[int, ...], ...]:
-    """``_window_moves(size)``'s destinations with every move onto a cell
-    in the ``oob`` bitmask (out of grid) staying put instead."""
-    moves, dest_bits = _window_moves(size)
-    return tuple(
-        tuple(idx if oob >> dest & 1 else dest for dest in dests) if bits & oob else dests
-        for idx, (dests, bits) in enumerate(zip(moves, dest_bits))
-    )
+def _moves(
+    size: int, oob: int
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], tuple[int, ...]]:
+    """Per cell of a size x size window whose out-of-grid cells are the
+    ``oob`` bitmask: its distinct move destinations as (cell, 1 << cell)
+    pairs, in ``Action`` order of first reach, a move off the window or
+    onto an out-of-grid cell staying put; the bitmask of those
+    destinations; and the centre cell's destination for each action in
+    ``Action`` order, repeats kept."""
+    center = (size // 2) * size + size // 2
+    if oob:
+        # the in-grid table, rebuilt only at the cells that can reach oob
+        inner, reach, root = _moves(size, 0)
+        moves = tuple(
+            tuple({(idx, 1 << idx) if oob & bit else (dest, bit): None for dest, bit in pairs})
+            if oob & bits
+            else pairs
+            for idx, (pairs, bits) in enumerate(zip(inner, reach))
+        )
+        root = tuple(center if oob >> dest & 1 else dest for dest in root)
+    else:
+        cells = []
+        for idx in range(size * size):
+            row, col = divmod(idx, size)
+            dests = {}  # insertion-ordered, so each destination once
+            for dx, dy in ACTION_DELTAS.values():
+                nr, nc = row + dy, col + dx
+                dests[nr * size + nc if 0 <= nr < size and 0 <= nc < size else idx] = None
+            cells.append(tuple((dest, 1 << dest) for dest in dests))
+        moves = tuple(cells)
+        # the centre's neighbours are all in the window, and all distinct
+        root = tuple(dest for dest, _ in moves[center])
+    return moves, tuple(sum(bit for _, bit in pairs) for pairs in moves), root
+
+
+def _collects_throughout(
+    moves: tuple[tuple[tuple[int, int], ...], ...],
+    dest_bits: tuple[int, ...],
+    idx: int,
+    fresh: int,
+    depth: int,
+) -> bool:
+    """Whether some ``depth`` >= 2 moves in a row from cell ``idx``, over
+    ``_moves`` tables, each collect a cell of the ``fresh`` bitmask."""
+    for dest, bit in moves[idx]:
+        if fresh & bit:
+            rest = fresh ^ bit
+            if depth == 2:
+                if rest & dest_bits[dest]:
+                    return True
+            elif _collects_throughout(moves, dest_bits, dest, rest, depth - 1):
+                return True
+    return False
 
 
 @lru_cache(maxsize=1 << 18)
@@ -102,16 +130,20 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
     below ``gamma * top[d - 1]``, so a collecting move that reaches that
     ceiling skips them all. A skipped move could not pass ``v > out``, and
     a node's value is the max over its moves, which no scan order changes.
+
+    Most of the root's children can collect a cell at every move left to
+    them. Such a child is worth exactly ``top[d]``: that is the value of
+    its all-collecting path, built by the same expressions, and no node is
+    worth more. So a child with ``d > 2`` moves left is first searched for
+    such a path (``_collects_throughout``, depth first, without memo or
+    floats), and the DP runs only when it has none.
     So every value is the plain recursion's, bit for bit, and so is every
     tie-break: the root computes all five first-action values.
     """
     cells = window_bytes
     size = isqrt(len(cells))
-    center = (size // 2) * size + (size // 2)
-    moves, dest_bits = _window_moves(size)
-    if CELL_OOB in cells:
-        moves = _edge_moves(size, cell_mask(cells, CELL_OOB))
-    # out-of-grid cells are never uncovered, so dest_bits serves edge windows too
+    oob = cell_mask(cells, CELL_OOB) if CELL_OOB in cells else 0
+    moves, dest_bits, root = _moves(size, oob)
     uncovered = cell_mask(cells, CELL_UNCOVERED)
 
     depth1 = 1.0 + gamma * 0.0, gamma * 0.0  # some move collects a cell, or none
@@ -130,12 +162,11 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
         # both >= first > second >= neither, so the first one found is the max
         fresh = uncovered & ~mask
         if fresh & dest_bits[idx]:
-            for dest in moves[idx]:
-                bit = 1 << dest
+            for dest, bit in moves[idx]:
                 if fresh & bit and fresh & ~bit & dest_bits[dest]:
                     return both
             return first
-        for dest in moves[idx]:
+        for dest, _ in moves[idx]:
             if fresh & dest_bits[dest]:
                 return second
         return neither
@@ -152,8 +183,7 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
         ceiling, idle_ceiling = top[depth], gamma * top[depth - 1]
         fresh = uncovered & ~mask
         out = 0.0
-        for dest in moves[idx]:  # collecting moves first
-            bit = 1 << dest
+        for dest, bit in moves[idx]:  # collecting moves first
             if fresh & bit:
                 v = 1.0 + gamma * child(dest, mask | bit, depth - 1)
                 if v > out:
@@ -161,8 +191,8 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
                     if out == ceiling:
                         break
         if out < idle_ceiling:  # else no idle move can pass it
-            for dest in moves[idx]:
-                if not fresh >> dest & 1:
+            for dest, bit in moves[idx]:
+                if not fresh & bit:
                     v = gamma * child(dest, mask, depth - 1)
                     if v > out:
                         out = v
@@ -172,7 +202,10 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
         return out
 
     def value(idx: int, mask: int, depth: int) -> float:
+        """Value of a root child, with ``depth`` moves left."""
         if depth > 2:
+            if _collects_throughout(moves, dest_bits, idx, uncovered & ~mask, depth):
+                return top[depth]
             return best(idx, mask, depth)
         if depth == 2:
             return best2(idx, mask)
@@ -180,8 +213,9 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
             return depth1[0] if uncovered & ~mask & dest_bits[idx] else depth1[1]
         return 0.0
 
+    # the root values every action, a repeated stay-put move included
     values = []
-    for dest in moves[center]:
+    for dest in root:
         bit = 1 << dest
         if cells[dest] == CELL_UNCOVERED:
             values.append(1.0 + gamma * value(dest, bit, horizon - 1))

@@ -237,6 +237,38 @@ def test_oversized_episode_count_is_refused_before_seeds_are_built(tmp_path, cap
     assert not out.exists()
 
 
+def test_a_run_that_writes_too_many_rows_is_refused(tmp_path, capsys):
+    # 9,996,000 agent-steps and 8,997,000 messages per step are each in
+    # bounds; together they ask for about 3 x 10^10 observer-peer rows
+    body = """
+    [grid]
+    width = 100
+    height = 100
+    [episode]
+    steps = 2
+    seeds = 0:1666
+    [roster]
+    agents = 3000
+    """
+    out = tmp_path / "x"
+    assert main(["--config", write(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: run too large: 29978004000 observer-peer rows "
+        "(episodes x episode.steps x directed comms edges), at most 10000000\n"
+    )
+    assert not out.exists()
+
+
+def test_episodes_that_write_too_many_rows_are_refused(tmp_path, capsys):
+    # BASE writes 12 rows per step: 83,334 episodes of 10 steps pass the
+    # agent-step bound (3,333,360) and break the row bound
+    out = tmp_path / "x"
+    code = main(["--config", write(tmp_path, BASE), "--out", str(out), "--episodes", "83334"])
+    assert code == 2
+    assert "error: run too large: 10000080 observer-peer rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_offset_shifts_every_episode(tmp_path):
     out = tmp_path / "artifacts"
     code = main(

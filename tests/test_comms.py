@@ -138,33 +138,50 @@ def test_falsify_babble_is_seeded_and_preserves_structure():
     assert babbled <= {CELL_COVERED, CELL_UNCOVERED}
 
 
+def assert_babble_replays_per_cell_draws(rows, seed):
+    """Babbling ``rows`` flips a random() < 0.5 coin per in-grid cell, in
+    row-major order, and leaves the rng where those draws would."""
+    size = len(rows)
+    obs = window_obs(rows, position=(size // 2, size // 2))
+    rng = random.Random(seed)
+    babbled = falsify(obs, FalsificationStrategy.BABBLE, rng, (8, 8))
+    assert len(babbled.window_key()) == size * size
+    out = window_rows(babbled)
+    replay = random.Random(seed)
+    for r in range(size):
+        for c in range(size):
+            if rows[r][c] == CELL_OOB:
+                assert out[r][c] == CELL_OOB
+            else:
+                draw = replay.random()
+                assert out[r][c] == (CELL_COVERED if draw < 0.5 else CELL_UNCOVERED)
+    assert rng.getstate() == replay.getstate()
+
+
 def test_falsify_babble_draws_once_per_in_grid_cell_in_row_major_order():
     picker = random.Random(3)
     for radius in (1, 2, 4):
         size = 2 * radius + 1
         for seed in range(20):
+            # any layout of out-of-grid cells
             rows = [
                 [picker.choice((CELL_UNCOVERED, CELL_COVERED, CELL_OOB)) for _ in range(size)]
                 for _ in range(size)
             ]
-            obs = window_obs(rows, position=(radius, radius))
-            rng = random.Random(seed)
-            babbled = falsify(obs, FalsificationStrategy.BABBLE, rng, (8, 8))
-            assert len(babbled.window_key()) == size * size
-            out = window_rows(babbled)
-            replay = random.Random(seed)
-            for r in range(size):
-                for c in range(size):
-                    if rows[r][c] == CELL_OOB:
-                        assert out[r][c] == CELL_OOB
-                    else:
-                        draw = replay.random()
-                        assert out[r][c] == (CELL_COVERED if draw < 0.5 else CELL_UNCOVERED)
-            in_grid = sum(cell != CELL_OOB for row in rows for cell in row)
-            fresh = random.Random(seed)
-            for _ in range(in_grid):
-                fresh.random()
-            assert rng.getstate() == fresh.getstate()
+            assert_babble_replays_per_cell_draws(rows, seed)
+            # a window wholly inside the grid, as most windows are
+            rows = [
+                [picker.choice((CELL_UNCOVERED, CELL_COVERED)) for _ in range(size)]
+                for _ in range(size)
+            ]
+            assert_babble_replays_per_cell_draws(rows, seed)
+    # radius-4 windows at a grid corner and on an edge, as observe cuts them
+    state = fresh_state([coop(0, start=(0, 0)), coop(1, start=(3, 7))])
+    for agent in (0, 1):
+        rows = window_rows(observe(state, agent, 4))
+        assert CELL_OOB in rows[0]  # the top row leaves the grid
+        for seed in range(20):
+            assert_babble_replays_per_cell_draws(rows, seed)
 
 
 def test_falsify_position_spoof_prefers_distant_cells():

@@ -320,6 +320,17 @@ def test_scenarios_reuse_is_independent(tmp_path):
         ("[episode]\nsteps = 1000000000000\n", "400000000000000 agent-steps"),
         ("[roster]\nagents = 1000000000000\n", "agent-steps"),
         ("[episode]\nseeds = 0:1\nsteps = 2\n[roster]\nagents = 4000\n", "messages per step"),
+        (
+            "[grid]\nwidth = 100\nheight = 100\n[episode]\nsteps = 2\nseeds = 0:1666\n"
+            "[roster]\nagents = 3000\n",
+            "29978004000 observer-peer rows",
+        ),
+        # rows count the listed edges both ways, each pair once
+        (
+            "[episode]\nseeds = 0:625001\nsteps = 2\n[roster]\nagents = 4\n"
+            "[comms]\ntopology = edges\nedges = 0-1, 1-0, 0-2, 1-3, 2-3\n",
+            "10000016 observer-peer rows",
+        ),
     ],
 )
 def test_oversized_runs_are_refused_before_anything_is_built(tmp_path, body, pattern):
@@ -342,17 +353,29 @@ def test_a_refused_seed_range_is_never_built(tmp_path):
 
 
 def test_the_largest_run_size_is_accepted(tmp_path):
-    # exactly MAX_RUN_SIZE cells and agent-steps: the bound is inclusive
+    # exactly MAX_RUN_SIZE cells, agent-steps and observer-peer rows (two
+    # agents, so one directed edge each): every bound is inclusive
     side = 1000
     assert side * side * 10 == MAX_RUN_SIZE
     body = f"[grid]\nwidth = {side * 10}\nheight = {side}\n[episode]\nseeds = 0:{side * 5}\n"
-    body += f"steps = {side // 2}\n[roster]\nagents = 4\n"
+    body += f"steps = {side}\n[roster]\nagents = 2\n"
     cfg = load_scenarios(write_config(tmp_path, body))["default"]
     assert cfg.width * cfg.height == len(cfg.seeds) * cfg.steps * len(cfg.roster) == MAX_RUN_SIZE
+    assert len(cfg.seeds) * cfg.steps * cfg.topology.directed_edges() == MAX_RUN_SIZE
     with pytest.raises(ConfigError, match="run too large"):
         replace(cfg, width=cfg.width + 1).validate()
     with pytest.raises(ConfigError, match="agent-steps"):
         replace(cfg, steps=cfg.steps + 1).validate()
+
+
+def test_rows_are_bounded_below_the_agent_step_bound(tmp_path):
+    # four agents on a complete graph write three rows per agent-step, so a
+    # third of the agent-step bound is the most rows allow
+    body = "[episode]\nseeds = 0:8333\nsteps = 100\n[roster]\nagents = 4\n"
+    cfg = load_scenarios(write_config(tmp_path, body))["default"]
+    assert len(cfg.seeds) * cfg.steps * cfg.topology.directed_edges() == 9_999_600
+    with pytest.raises(ConfigError, match="10000800 observer-peer rows"):
+        replace(cfg, seeds=tuple(range(8334))).validate()
 
 
 @pytest.mark.parametrize(

@@ -104,6 +104,23 @@ def test_merge_refuses_a_claim_of_another_window_size():
     wide = obs(2, (2, 2), [[C] * 5] * 5)
     with pytest.raises(ValueError, match="claim window of 25 cells merged into a window of 9"):
         merge_observation(own, (wide,))
+    # also when own has no uncovered cell a claim could land on
+    full = obs(1, (2, 2), [[C] * 3] * 3)
+    with pytest.raises(ValueError, match="claim window of 25 cells merged into a window of 9"):
+        merge_observation(full, (wide,))
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [(0, 3), (0, -3), (3, 0), (-3, 0)],
+    ids=["below", "above", "right", "left"],
+)
+def test_merge_skips_a_claim_that_shares_no_row_or_no_column(offset):
+    # a claim right beside own's window shares its columns but no row, or
+    # its rows but no column, so none of its cells lands
+    own = obs(1, (5, 5), [[U] * 3] * 3)
+    beside = obs(2, (5 + offset[0], 5 + offset[1]), [[C] * 3] * 3)
+    assert merge_observation(own, (beside,)) is own
 
 
 def test_merge_unions_claims_across_messages():

@@ -160,9 +160,9 @@ def sweep_window(rng, radius, share, bands=True):
 
 def test_values_equal_the_plain_dp_bit_for_bit():
     # == and not approx: greedy tie-breaks compare these floats exactly.
-    # Dense windows drive nodes to their ceiling (the early stop); sparse
-    # ones reach it rarely and exercise the skip of moves that collect
-    # nothing. Both prune only from horizon 4 on. 0.618 and 0.619 sit on
+    # Dense windows drive nodes to their ceiling (the early stop, and the
+    # root's all-collecting path); sparse ones reach it rarely and exercise
+    # the DP's skip of moves that collect nothing. Both prune only from horizon 4 on. 0.618 and 0.619 sit on
     # either side of gamma + gamma**2 = 1, where idling once and then
     # collecting twice starts to beat collecting now.
     rng = random.Random(41)
@@ -216,7 +216,7 @@ def test_every_out_of_grid_pattern_equals_the_plain_dp_bit_for_bit():
         grid([[rng.random() < share for _ in range(width)] for _ in range(height)])
         for share in (0.3, 0.7)
     ]
-    hits = policies._edge_moves.cache_info().hits
+    hits = policies._moves.cache_info().hits
     for radius in range(1, 5):
         for horizon in range(1, 7):
             cfg = ValueOracleConfig(gamma=0.9, horizon=horizon, radius=radius)
@@ -227,4 +227,4 @@ def test_every_out_of_grid_pattern_equals_the_plain_dp_bit_for_bit():
                         got = list(action_values(obs, cfg))
                         want = dp_values(window_rows(obs), cfg.gamma, horizon)
                         assert got == want, (radius, horizon, x, y)
-    assert policies._edge_moves.cache_info().hits > hits
+    assert policies._moves.cache_info().hits > hits
