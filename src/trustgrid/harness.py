@@ -147,6 +147,11 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     itself. That is exact: no agent moved at the frozen step, so all its
     rewards were 0, and each later step repeats the same actions from the
     same cells, so it earns the same all-zero rewards at the same coverage.
+
+    A step's confusion counts depend only on which heard senders are
+    flagged (belief < tau), so a step whose flags equal those of the last
+    classified step shares that step's counts, and ``classify_step`` runs
+    only when a flag changes.
     """
     state = reset(cfg, seed)
     comms_rng = random.Random(f"comms:{seed}")
@@ -158,10 +163,12 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     heard = dict(cfg.topology.adjacency)
     trust = init_trust({j for i in ids for j in heard[i]}, cfg.s)
     gating = cfg.gating_enabled()
+    tau = cfg.tau
     redraws = any(spec.falsification in RANDOM_FALSIFICATIONS for spec in cfg.roster)
 
     steps: list[StepLog] = []
     frozen = False
+    flags = None  # belief < tau per heard sender at the last classified step
     for _ in range(cfg.steps):
         if frozen:
             state, _ = step(state, actions)
@@ -183,13 +190,16 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
                 continue
             inbox = inboxes[i]
             if gating:
-                inbox = gate_messages(trust, inbox, cfg.tau, cfg.gating, gate_rng)
+                inbox = gate_messages(trust, inbox, tau, cfg.gating, gate_rng)
             actions[i] = greedy_action(merge_observation(views[i], inbox), cfg.oracle)
         positions = state.positions
         state, rewards = step(state, actions)
         judged = step_trust_all(trust, payloads, actions, cfg.consistency, cfg.oracle)
         beliefs = dict(trust.beliefs)
         verdicts = {sender: verdict.consistent for sender, verdict in judged.items()}
+        flagged = [belief < tau for belief in beliefs.values()]
+        if flagged != flags:
+            flags, confusion = flagged, classify_step(trust, roles, tau, heard)
         frozen = (
             state.positions == positions
             and not redraws
@@ -203,7 +213,7 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
                 rewards=rewards,
                 beliefs=beliefs,
                 verdicts=verdicts,
-                confusion=classify_step(trust, roles, cfg.tau, heard),
+                confusion=confusion,
             )
         )
     return EpisodeRun(seed=seed, steps=steps, summary=summarize(steps, roles))

@@ -103,9 +103,10 @@ def summarize(steps: list[StepLog], roles: dict[int, Role]) -> EpisodeSummary:
     for entry in steps:
         for agent, reward in entry.rewards.items():
             totals[agent] += reward
-        # frozen steps repeat the previous step's log object; score it once
-        if entry is not last:
-            last, score = entry, team_f1(entry.confusion, roles)
+        # a step whose flags did not change shares the previous step's
+        # counts (frozen steps its whole log); score them once
+        if entry.confusion is not last:
+            last, score = entry.confusion, team_f1(entry.confusion, roles)
         f1_timeline.append(score)
     return EpisodeSummary(
         coverage_timeline=coverage,

@@ -21,6 +21,8 @@ from .env import ACTION_DELTAS, CELL_OOB, CELL_UNCOVERED, Action, Observation, c
 # leaves half of Python's default recursion limit (1000) to its callers.
 MAX_HORIZON = 500
 
+_ACTIONS = tuple(Action)  # indexed by value, in tie-break order
+
 
 @dataclass(frozen=True)
 class ValueOracleConfig:
@@ -48,10 +50,12 @@ class AdversaryStrategy(Enum):
     CONSISTENT_LIAR = "consistent_liar"  # greedy on the view it transmitted
 
 
+# per cell of a window, its distinct move destinations as (cell, 1 << cell)
+_Moves = tuple[tuple[tuple[int, int], ...], ...]
+
+
 @lru_cache(maxsize=1 << 8)
-def _moves(
-    size: int, oob: int
-) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...], tuple[int, ...]]:
+def _moves(size: int, oob: int) -> tuple[_Moves, tuple[int, ...], tuple[int, ...]]:
     """Per cell of a size x size window whose out-of-grid cells are the
     ``oob`` bitmask: its distinct move destinations as (cell, 1 << cell)
     pairs, in ``Action`` order of first reach, a move off the window or
@@ -85,7 +89,7 @@ def _moves(
 
 
 def _collects_throughout(
-    moves: tuple[tuple[tuple[int, int], ...], ...],
+    moves: _Moves,
     dest_bits: tuple[int, ...],
     idx: int,
     fresh: int,
@@ -104,6 +108,91 @@ def _collects_throughout(
     return False
 
 
+# gamma, top[d], gamma * top[d], and the four values with two moves left
+_Levels = tuple[float, tuple[float, ...], tuple[float, ...], tuple[float, float, float, float]]
+# what the search reads of one window: its move table and destination
+# masks (``_moves``), the constants and its memo
+_Context = tuple[_Moves, tuple[int, ...], _Levels, dict[tuple[int, int, int], float]]
+
+
+@lru_cache(maxsize=1 << 8)
+def _levels(gamma: float, horizon: int) -> _Levels:
+    """The search's constants for one (gamma, horizon), built by the
+    recursion's own float expressions, so each has the recursion's bits.
+    ``top[d]`` bounds a node with ``d`` moves left; with one move left a
+    node is worth ``top[1]`` if some move collects a cell, else
+    ``gamma * top[0]``, so with two left it is one of four constants."""
+    top = [0.0]
+    for _ in range(horizon):
+        top.append(1.0 + gamma * top[-1])
+    idle = tuple(gamma * t for t in top)
+    # both moves collect, only the first, only the second, neither
+    closed = 1.0 + gamma * top[1], 1.0 + gamma * idle[0], gamma * top[1], gamma * idle[0]
+    return gamma, tuple(top), idle, closed
+
+
+def _best2(ctx: _Context, idx: int, fresh: int, depth: int = 2) -> float:
+    """Value with two moves left from cell ``idx``, ``fresh`` the uncovered
+    cells not yet collected. It takes ``_best``'s arguments, so either can
+    be the other's child."""
+    moves, dest_bits, levels, _ = ctx
+    # both >= first > second >= neither, so the first one found is the max
+    both, first, second, neither = levels[3]
+    if fresh & dest_bits[idx]:
+        for dest, bit in moves[idx]:
+            if fresh & bit and fresh & ~bit & dest_bits[dest]:
+                return both
+        return first
+    for dest, _ in moves[idx]:
+        if fresh & dest_bits[dest]:
+            return second
+    return neither
+
+
+def _best(ctx: _Context, idx: int, fresh: int, depth: int) -> float:
+    """Value with ``depth`` >= 3 moves left, memoised and pruned."""
+    moves, dest_bits, levels, memo = ctx
+    key = (idx, fresh, depth)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    gamma, top, idle, _ = levels
+    child = _best if depth > 3 else _best2
+    ceiling, idle_ceiling = top[depth], idle[depth - 1]
+    out = 0.0
+    for dest, bit in moves[idx]:  # collecting moves first
+        if fresh & bit:
+            v = 1.0 + gamma * child(ctx, dest, fresh ^ bit, depth - 1)
+            if v > out:
+                out = v
+                if out == ceiling:
+                    break
+    if out < idle_ceiling:  # else no idle move can pass it
+        for dest, bit in moves[idx]:
+            if not fresh & bit:
+                v = gamma * child(ctx, dest, fresh, depth - 1)
+                if v > out:
+                    out = v
+                    if out >= idle_ceiling:
+                        break
+    memo[key] = out
+    return out
+
+
+def _value(ctx: _Context, idx: int, fresh: int, depth: int) -> float:
+    """Value of a root child at cell ``idx`` with ``depth`` moves left."""
+    moves, dest_bits, (_, top, idle, _), _ = ctx
+    if depth > 2:
+        if _collects_throughout(moves, dest_bits, idx, fresh, depth):
+            return top[depth]
+        return _best(ctx, idx, fresh, depth)
+    if depth == 2:
+        return _best2(ctx, idx, fresh)
+    if depth == 1:
+        return top[1] if fresh & dest_bits[idx] else idle[0]
+    return 0.0
+
+
 @lru_cache(maxsize=1 << 18)
 def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float, ...]:
     """Value of each first action for one square row-major window, by
@@ -111,7 +200,9 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
 
     State is (cell index, bitmask of cells covered since the start). Moves
     that would leave the window or enter an out-of-grid cell resolve to
-    staying put; arriving on an uncovered cell gains 1 and covers it.
+    staying put; arriving on an uncovered cell gains 1 and covers it. The
+    search below keys a state by the uncovered cells not yet covered, which
+    names the same state, since only uncovered cells are ever covered.
 
     The last two levels are answered in closed form. A depth-1 node is
     worth 1 + gamma * 0 when some move collects a cell and gamma * 0
@@ -139,88 +230,30 @@ def _value_table(window_bytes: bytes, gamma: float, horizon: int) -> tuple[float
     floats), and the DP runs only when it has none.
     So every value is the plain recursion's, bit for bit, and so is every
     tie-break: the root computes all five first-action values.
+
+    A miss builds no function and no constant, only its memo: the search
+    is module level, and its constants are built once per (gamma, horizon)
+    (``_levels``). Nothing refers to the memo after the miss, so it is
+    freed on return.
     """
     cells = window_bytes
     size = isqrt(len(cells))
     oob = cell_mask(cells, CELL_OOB) if CELL_OOB in cells else 0
     moves, dest_bits, root = _moves(size, oob)
     uncovered = cell_mask(cells, CELL_UNCOVERED)
-
-    depth1 = 1.0 + gamma * 0.0, gamma * 0.0  # some move collects a cell, or none
-    both, first, second, neither = (
-        1.0 + gamma * depth1[0],
-        1.0 + gamma * depth1[1],
-        gamma * depth1[0],
-        gamma * depth1[1],
-    )
-    top = [0.0]  # top[d]: no node with d moves left is worth more
-    for _ in range(horizon):
-        top.append(1.0 + gamma * top[-1])
-
-    def best2(idx: int, mask: int, depth: int = 2) -> float:
-        """Value with two moves left; ``depth`` lets it stand in for ``best``."""
-        # both >= first > second >= neither, so the first one found is the max
-        fresh = uncovered & ~mask
-        if fresh & dest_bits[idx]:
-            for dest, bit in moves[idx]:
-                if fresh & bit and fresh & ~bit & dest_bits[dest]:
-                    return both
-            return first
-        for dest, _ in moves[idx]:
-            if fresh & dest_bits[dest]:
-                return second
-        return neither
-
-    memo: dict[tuple[int, int, int], float] = {}
-
-    def best(idx: int, mask: int, depth: int) -> float:
-        """Value with ``depth`` >= 3 moves left, memoised and pruned."""
-        key = (idx, mask, depth)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        child = best if depth > 3 else best2
-        ceiling, idle_ceiling = top[depth], gamma * top[depth - 1]
-        fresh = uncovered & ~mask
-        out = 0.0
-        for dest, bit in moves[idx]:  # collecting moves first
-            if fresh & bit:
-                v = 1.0 + gamma * child(dest, mask | bit, depth - 1)
-                if v > out:
-                    out = v
-                    if out == ceiling:
-                        break
-        if out < idle_ceiling:  # else no idle move can pass it
-            for dest, bit in moves[idx]:
-                if not fresh & bit:
-                    v = gamma * child(dest, mask, depth - 1)
-                    if v > out:
-                        out = v
-                        if out >= idle_ceiling:
-                            break
-        memo[key] = out
-        return out
-
-    def value(idx: int, mask: int, depth: int) -> float:
-        """Value of a root child, with ``depth`` moves left."""
-        if depth > 2:
-            if _collects_throughout(moves, dest_bits, idx, uncovered & ~mask, depth):
-                return top[depth]
-            return best(idx, mask, depth)
-        if depth == 2:
-            return best2(idx, mask)
-        if depth == 1:
-            return depth1[0] if uncovered & ~mask & dest_bits[idx] else depth1[1]
-        return 0.0
+    levels = _levels(gamma, horizon)
+    ctx = moves, dest_bits, levels, {}
+    depth = horizon - 1
 
     # the root values every action, a repeated stay-put move included
     values = []
     for dest in root:
         bit = 1 << dest
-        if cells[dest] == CELL_UNCOVERED:
-            values.append(1.0 + gamma * value(dest, bit, horizon - 1))
+        if uncovered & bit:
+            rest = _value(ctx, dest, uncovered ^ bit, depth)
+            values.append(1.0 + gamma * rest)
         else:
-            values.append(gamma * value(dest, 0, horizon - 1))
+            values.append(gamma * _value(ctx, dest, uncovered, depth))
     return tuple(values)
 
 
@@ -232,7 +265,7 @@ def action_values(obs: Observation, cfg: ValueOracleConfig) -> tuple[float, ...]
 def greedy_action(obs: Observation, cfg: ValueOracleConfig) -> Action:
     """Argmax action; ties go to the earliest action in the fixed order."""
     values = action_values(obs, cfg)
-    return Action(values.index(max(values)))
+    return _ACTIONS[values.index(max(values))]
 
 
 def clear_value_cache() -> None:

@@ -34,7 +34,7 @@ from trustgrid.harness import (
     run_scenario,
     write_artifact,
 )
-from trustgrid.metrics import ConfusionCounts, f1
+from trustgrid.metrics import ConfusionCounts, classify_step, f1
 from trustgrid.policies import greedy_action
 
 
@@ -578,6 +578,57 @@ def test_bernoulli_gating_draws_once_per_message_every_step(tmp_path, monkeypatc
         for _ in range(n_msgs):
             replay.random()
         assert after == replay.getstate()
+
+
+FLIPPING_RUN = """
+[grid]
+width = 8
+height = 8
+[episode]
+steps = 40
+seeds = 0:2
+[roster]
+agents = 4
+adversaries = 2
+falsification = babble
+[defense]
+s = 0.4
+tau = 0.9
+rho = 0.05
+kl_threshold = 0.1
+"""
+
+
+@pytest.mark.parametrize("edges", ["", "0-1, 1-2, 2-3, 3-1"], ids=["complete", "sparse"])
+@pytest.mark.parametrize("consistency", ["exact_match", "value_threshold", "kl"])
+@pytest.mark.parametrize("gating", ["threshold", "bernoulli"])
+def test_each_step_logs_the_confusion_of_its_own_beliefs(tmp_path, gating, consistency, edges):
+    """A step whose flags equal the last classified step's reuses its
+    counts; every logged confusion must still be ``classify_step`` of the
+    beliefs logged beside it. Two babbling adversaries, a small step
+    multiplier and a high tau let several senders' beliefs cross tau both
+    ways, so flags change and also repeat."""
+    topology = "edges" if edges else "complete"
+    cfg = config_from(
+        tmp_path,
+        FLIPPING_RUN
+        + f"gating = {gating}\nconsistency = {consistency}\n"
+        + f"[comms]\ntopology = {topology}\nedges = {edges}\n",
+    )
+    heard = dict(cfg.topology.adjacency)
+    roles = cfg.roles()
+    classified, reused = set(), 0
+    for seed in cfg.seeds:
+        ep = run_episode(cfg, seed)
+        last = None
+        for entry in ep.steps:
+            rebuilt = trust.TrustState(beliefs=dict(entry.beliefs), counts={}, s=cfg.s)
+            assert entry.confusion == classify_step(rebuilt, roles, cfg.tau, heard)
+            flags = tuple(belief < cfg.tau for belief in entry.beliefs.values())
+            classified.add(flags)
+            reused += entry is not last and entry.confusion is getattr(last, "confusion", None)
+            last = entry
+    assert len(classified) > 1 and reused > 0
 
 
 def test_run_episode_rejects_an_unvalidated_config(tmp_path):

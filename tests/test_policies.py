@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import math
 import random
 
 import numpy as np
@@ -179,6 +181,48 @@ def test_values_equal_the_plain_dp_bit_for_bit():
                             radius, horizon, share, gamma, rows,
                         )
 
+
+
+def test_no_constant_leaks_between_oracle_configs():
+    # The search's constants are built once per (gamma, horizon). Gammas
+    # one ulp apart and interleaved horizons, each visited twice in one
+    # process with no cache clear, must each get their own bits.
+    rng = random.Random(43)
+    windows = [
+        sweep_window(rng, radius, share, bands)
+        for radius in (1, 2, 3)
+        for share in (0.1, 0.5)
+        for bands in (False, True)
+    ]
+    gammas = (0.9, math.nextafter(0.9, 1.0))
+    horizons = (4, 1, 7, 2, 6, 3, 5)
+    configs = [(gamma, horizon) for horizon in horizons for gamma in gammas]
+    rows_by_config = {}
+    for gamma, horizon in configs + configs[::-1]:
+        for rows in windows:
+            radius = len(rows) // 2
+            cfg = ValueOracleConfig(gamma=gamma, horizon=horizon, radius=radius)
+            got = [v.hex() for v in action_values(window_obs(rows, position=(radius, radius)), cfg)]
+            assert got == [v.hex() for v in dp_values(rows, gamma, horizon)], (gamma, horizon, rows)
+            rows_by_config.setdefault((gamma, horizon), []).append(got)
+    # the two gammas give different bits from horizon 2 on, so a shared
+    # constant would have shown above
+    assert all(rows_by_config[(gammas[0], h)] != rows_by_config[(gammas[1], h)] for h in range(2, 8))
+
+
+def test_a_cold_window_frees_its_memo_on_return():
+    # Nothing may refer back to a miss's memo, or deep horizons hold every
+    # cold window's memo until Python's next cyclic collection.
+    rows = sweep_window(random.Random(5), 4, 0.25, False)
+    obs = window_obs(rows, position=(4, 4))
+    cfg = ValueOracleConfig(gamma=0.8125, horizon=9, radius=4)
+    gc.collect()
+    gc.disable()
+    try:
+        action_values(obs, cfg)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_idle_moves_scanned_after_the_only_collecting_move_keep_their_values():
