@@ -132,11 +132,11 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
     """One seeded episode under the scenario's defense mode.
 
     Step order: observe, transmit, gate (trust-gating modes only), act,
-    advance the environment, then update the trust in every heard sender
-    from this step's payloads and actions so the verdicts shape the next
-    step's gating. Trust is monitored in every mode; only gating is
-    mode-dependent. Every hearer of a sender reaches the same verdict and
-    so holds the same belief in it, so the episode keeps one trust state.
+    advance the environment, then judge every heard sender's action on one
+    basis, its payload, so the verdicts shape the next step's gating. Trust
+    is monitored in every mode; only gating is mode-dependent. A verdict
+    depends only on the basis it is given and the action, so every hearer
+    of a sender shares it and the belief in it: the episode keeps one state.
 
     The episode freezes after a step at which no agent moved, when no
     sender's falsification draws randomness, every logged belief is 1.0
@@ -190,16 +190,15 @@ def run_episode(cfg: ScenarioConfig, seed: int) -> EpisodeRun:
                 continue
             inbox = inboxes[i]
             if gating:
-                inbox = gate_messages(trust, inbox, tau, cfg.gating, gate_rng)
+                inbox = gate_messages(trust.beliefs, inbox, tau, cfg.gating, gate_rng)
             actions[i] = greedy_action(merge_observation(views[i], inbox), cfg.oracle)
         positions = state.positions
         state, rewards = step(state, actions)
-        judged = step_trust_all(trust, payloads, actions, cfg.consistency, cfg.oracle)
+        verdicts = step_trust_all(trust, payloads, actions, cfg.consistency, cfg.oracle)
         beliefs = dict(trust.beliefs)
-        verdicts = {sender: verdict.consistent for sender, verdict in judged.items()}
         flagged = [belief < tau for belief in beliefs.values()]
         if flagged != flags:
-            flags, confusion = flagged, classify_step(trust, roles, tau, heard)
+            flags, confusion = flagged, classify_step(beliefs, roles, tau, heard)
         frozen = (
             state.positions == positions
             and not redraws

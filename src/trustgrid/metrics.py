@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .comms import Role
-from .trust import TrustState
 
 
 @dataclass(frozen=True)
@@ -42,13 +41,14 @@ class EpisodeSummary:
 
 
 def classify_step(
-    ts: TrustState,
+    beliefs: dict[int, float],
     roles: dict[int, Role],
     tau: float,
     heard: dict[int, tuple[int, ...]],
 ) -> dict[int, ConfusionCounts]:
     """Per-observer confusion at one instant: flagged iff belief < tau.
 
+    ``beliefs`` maps each heard peer to the belief its hearers share.
     ``heard`` maps each observer to the peers it receives messages from
     (its channel neighbours). Each heard peer lands in exactly one cell,
     so an observer's counts sum to its received-message count.
@@ -57,7 +57,7 @@ def classify_step(
     for observer in sorted(heard):
         tp = tn = fp = fn = 0
         for peer in heard[observer]:
-            flagged = ts.beliefs[peer] < tau
+            flagged = beliefs[peer] < tau
             if roles[peer] is Role.SELF_INTERESTED:
                 if flagged:
                     tp += 1

@@ -1,10 +1,11 @@
 """Peer trust from observed behaviour.
 
-After every exchange each heard sender's claim is put to one question:
-given the observation the sender claimed, would a cooperative agent have
-acted as the sender did? Agents share one policy, so an honest sender's
-action must match (or score close to) the shared choice on the claimed
-observation. The verdict depends only on the sender's payload and action,
+After every exchange each heard sender is put to one question: given the
+basis it is judged on (its claimed observation, in every shipped mode),
+would a cooperative agent have acted as the sender did? Agents share one
+policy, so an honest sender's action must match (or score close to) the
+shared choice on that basis. The verdict depends only on the basis it is
+given and on the sender's action. The engine passes one basis per sender,
 so every agent that hears the sender reaches the same verdict and holds
 the same belief in it: one belief in [0, 1] per heard sender stands for
 all of its hearers. Verdicts accumulate into per-sender counts that drive
@@ -89,9 +90,17 @@ def init_trust(senders: Iterable[int], s: float) -> TrustState:
     )
 
 
-def _surprise(values: tuple[float, ...], observed: Action, temperature: float) -> float:
-    """KL surprise of ``observed`` under a softmax over one value row; see
-    ``kl_score``. The canonical action is the row's first maximum."""
+def kl_score(values: tuple[float, ...], observed: Action, temperature: float) -> float:
+    """Surprise of the observed action under a softmax over one value row.
+
+    Compares the softmax over ``values`` against the same distribution with
+    the probabilities of the canonical (first-max) and observed actions
+    swapped; only those two actions contribute. Exactly 0.0 when the
+    observed action is the canonical one or ties it in probability, and
+    infinite when the observed action's probability underflows to 0.0.
+    """
+    if temperature <= 0.0:
+        raise ValueError(f"temperature must be > 0, got {temperature}")
     top = max(values)
     canonical = values.index(top)
     if observed == canonical:
@@ -106,26 +115,6 @@ def _surprise(values: tuple[float, ...], observed: Action, temperature: float) -
     if p_obs == 0.0:
         return math.inf
     return (p_canon - p_obs) * math.log(p_canon / p_obs)
-
-
-def kl_score(
-    payload: Observation,
-    observed: Action,
-    temperature: float,
-    oracle: ValueOracleConfig,
-) -> float:
-    """Surprise of the observed action under a softmax policy.
-
-    Compares the softmax over the claimed observation's action values
-    against the same distribution with the probabilities of the canonical
-    (first-max) and observed actions swapped; only those two actions
-    contribute. Exactly 0.0 when the observed action is the canonical one
-    or ties it in probability, and infinite when the observed action's
-    probability underflows to 0.0.
-    """
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be > 0, got {temperature}")
-    return _surprise(action_values(payload, oracle), observed, temperature)
 
 
 def calibrate_kl_threshold(
@@ -143,28 +132,29 @@ def calibrate_kl_threshold(
         raise ValueError("cannot calibrate a threshold from zero samples")
     total = 0.0
     for payload, observed in samples:
-        total += kl_score(payload, observed, temperature, oracle)
+        total += kl_score(action_values(payload, oracle), observed, temperature)
     return total / len(samples)
 
 
 def consistency_check(
     oracle: ValueOracleConfig,
-    payload: Observation,
+    basis: Observation,
     observed_action: Action,
     cfg: ConsistencyConfig,
 ) -> Verdict:
-    """Judge a peer's claim against the action the peer was seen to take.
+    """Judge a peer's action against the action a cooperative agent would
+    take on ``basis``, the observation the peer is anticipated from.
 
     Every mode reads one value row, the shared oracle's values on the
-    claimed observation, so the verdict is the same for every observer.
+    basis, so the verdict is the same for every observer given the basis.
     The anticipated action is the row's first maximum. The score is the
     value gap ``max(values) - values[observed]`` in ``exact_match`` and
-    ``value_threshold`` modes, and the KL surprise from the same row in
-    ``kl`` mode.
+    ``value_threshold`` modes, and ``kl_score`` of the same row in ``kl``
+    mode.
     """
-    values = action_values(payload, oracle)
+    values = action_values(basis, oracle)
     if cfg.mode is ConsistencyMode.KL:
-        score = _surprise(values, observed_action, cfg.temperature)
+        score = kl_score(values, observed_action, cfg.temperature)
         return Verdict(score <= cfg.kl_threshold, score)
     top = max(values)
     gap = top - values[observed_action]
@@ -196,36 +186,37 @@ def update_belief(ts: TrustState, sender: int, verdict: Verdict) -> None:
 
 def step_trust_all(
     ts: TrustState,
-    payloads: dict[int, Observation],
+    bases: dict[int, Observation],
     observed_actions: dict[int, Action],
     cfg: ConsistencyConfig,
     oracle: ValueOracleConfig,
-) -> dict[int, Verdict]:
-    """One reevaluation round after an environment step.
+) -> dict[int, bool]:
+    """One reevaluation round after an environment step; returns each heard
+    sender's verdict, True for consistent.
 
-    ``payloads`` holds what each sender transmitted in the step just taken
-    and ``observed_actions`` the actions the senders were seen to take.
-    The step counter advances once, and each heard sender is judged once.
-    Its verdict counts for every hearer, including hearers that chose not
-    to act on the message, so beliefs keep moving for gated senders.
+    ``bases`` holds the observation each sender's action in the step just
+    taken is judged on, and ``observed_actions`` those actions. The step
+    counter advances once, and each heard sender is judged once. Its
+    verdict counts for every hearer, including hearers that chose not to
+    act on the message, so beliefs keep moving for gated senders.
     """
     ts.t += 1
-    verdicts: dict[int, Verdict] = {}
+    verdicts: dict[int, bool] = {}
     for sender in ts.beliefs:
-        verdict = consistency_check(oracle, payloads[sender], observed_actions[sender], cfg)
+        verdict = consistency_check(oracle, bases[sender], observed_actions[sender], cfg)
         update_belief(ts, sender, verdict)
-        verdicts[sender] = verdict
+        verdicts[sender] = verdict.consistent
     return verdicts
 
 
 def gate_messages(
-    ts: TrustState,
+    beliefs: dict[int, float],
     inbox: tuple[Observation, ...],
     tau: float,
     mode: GatingMode,
     rng: random.Random,
 ) -> tuple[Observation, ...]:
-    """Drop an inbox's payloads from senders that are not trusted.
+    """Drop an inbox's payloads from senders that ``beliefs`` does not trust.
 
     Threshold mode keeps a payload iff its sender's belief is at least tau,
     so tau = 0 disables gating. Bernoulli mode keeps it with probability
@@ -236,7 +227,7 @@ def gate_messages(
     """
     kept: list[Observation] = []
     for payload in inbox:
-        belief = ts.beliefs[payload.agent_id]  # KeyError for a sender nobody hears
+        belief = beliefs[payload.agent_id]  # KeyError for a sender nobody hears
         if mode is GatingMode.THRESHOLD:
             keep = belief >= tau
         else:

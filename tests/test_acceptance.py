@@ -449,7 +449,7 @@ def test_criterion_6_kl_calibration_matches_recomputation(capsys):
         canonical = max(Action, key=lambda a: (probs[a], -a))
         if probs[observed] == probs[canonical]:
             equal_pairs += 1
-            if not kl_score(payload, observed, 1.0, oracle) < 1e-12:
+            if not kl_score(action_values(payload, oracle), observed, 1.0) < 1e-12:
                 zero_violations += 1
 
     ok = calibration_ok and equal_pairs > 0 and zero_violations == 0
@@ -545,7 +545,7 @@ def test_criterion_8_confusion_identities_hold(tmp_path, capsys):
         ts = init_trust(sorted(roles), s=3.7)
         for peer in ts.beliefs:
             ts.beliefs[peer] = rng.random()
-        for counts in classify_step(ts, roles, rng.random(), heard).values():
+        for counts in classify_step(ts.beliefs, roles, rng.random(), heard).values():
             if sum(astuple(counts)) != len(roles) - 1:
                 sum_mismatches += 1
 

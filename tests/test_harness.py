@@ -556,9 +556,9 @@ def test_bernoulli_gating_draws_once_per_message_every_step(tmp_path, monkeypatc
     cfg = config_from(tmp_path, PARKED_RUN + "[defense]\ngating = bernoulli\n")
     draws = []
 
-    def recording_gate(ts, inbox, tau, mode, rng):
+    def recording_gate(beliefs, inbox, tau, mode, rng):
         before = rng.getstate()
-        kept = trust.gate_messages(ts, inbox, tau, mode, rng)
+        kept = trust.gate_messages(beliefs, inbox, tau, mode, rng)
         draws.append((before, len(inbox), rng.getstate()))
         return kept
 
@@ -622,13 +622,39 @@ def test_each_step_logs_the_confusion_of_its_own_beliefs(tmp_path, gating, consi
         ep = run_episode(cfg, seed)
         last = None
         for entry in ep.steps:
-            rebuilt = trust.TrustState(beliefs=dict(entry.beliefs), counts={}, s=cfg.s)
-            assert entry.confusion == classify_step(rebuilt, roles, cfg.tau, heard)
+            assert entry.confusion == classify_step(entry.beliefs, roles, cfg.tau, heard)
             flags = tuple(belief < cfg.tau for belief in entry.beliefs.values())
             classified.add(flags)
             reused += entry is not last and entry.confusion is getattr(last, "confusion", None)
             last = entry
     assert len(classified) > 1 and reused > 0
+
+
+def test_one_run_of_a_non_gating_arm_classifies_every_tau():
+    """Without gating, tau only classifies: ``nodef``'s runs at every tau log
+    the same beliefs, verdicts and coverage, and each run's confusion is
+    ``classify_step`` of the tau 0.5 run's beliefs at its own tau. ``tom``
+    gates on tau, so its beliefs move with it."""
+    taus = (0.05, 0.5, 0.95, 1.0)
+    shipped = load_scenarios(SHIPPED)
+
+    def runs(arm):
+        cfg = replace(shipped[arm], seeds=(0, 1, 2, 3))
+        return cfg, {tau: run_scenario(replace(cfg, tau=tau)).episodes for tau in taus}
+
+    cfg, nodef = runs("nodef")
+    heard = dict(cfg.topology.adjacency)
+    roles = cfg.roles()
+    for tau, episodes in nodef.items():
+        for ep, reference in zip(episodes, nodef[0.5], strict=True):
+            for entry, ref in zip(ep.steps, reference.steps, strict=True):
+                assert entry.beliefs == ref.beliefs
+                assert entry.verdicts == ref.verdicts
+                assert entry.coverage == ref.coverage
+                assert entry.confusion == classify_step(ref.beliefs, roles, tau, heard)
+    _, tom = runs("tom")
+    logged = {tau: [[e.beliefs for e in ep.steps] for ep in eps] for tau, eps in tom.items()}
+    assert any(logged[tau] != logged[0.5] for tau in taus)
 
 
 def test_run_episode_rejects_an_unvalidated_config(tmp_path):

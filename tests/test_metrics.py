@@ -18,7 +18,6 @@ from trustgrid.metrics import (
     summarize,
     team_f1,
 )
-from trustgrid.trust import init_trust
 
 ROLES = {
     0: Role.SELF_INTERESTED,
@@ -32,14 +31,13 @@ ROLES = {
 HEARD = {i: tuple(j for j in sorted(ROLES) if j != i) for i in ROLES}
 
 
-def state_with(beliefs):
-    ts = init_trust(sorted(ROLES), s=3.7)
-    ts.beliefs.update(beliefs)
-    return ts
+def beliefs_with(beliefs):
+    """Full belief in every agent, except where ``beliefs`` says otherwise."""
+    return {**dict.fromkeys(sorted(ROLES), 1.0), **beliefs}
 
 
 def test_classify_fresh_states_miss_the_adversary():
-    confusion = classify_step(state_with({}), ROLES, tau=0.5, heard=HEARD)
+    confusion = classify_step(beliefs_with({}), ROLES, tau=0.5, heard=HEARD)
     assert confusion[1] == ConfusionCounts(tp=0, tn=2, fp=0, fn=1)
     assert confusion[2] == ConfusionCounts(tp=0, tn=2, fp=0, fn=1)
     assert confusion[3] == ConfusionCounts(tp=0, tn=2, fp=0, fn=1)
@@ -48,7 +46,7 @@ def test_classify_fresh_states_miss_the_adversary():
 
 
 def test_classify_collapsed_belief_is_a_true_positive():
-    confusion = classify_step(state_with({0: 0.0}), ROLES, tau=0.5, heard=HEARD)
+    confusion = classify_step(beliefs_with({0: 0.0}), ROLES, tau=0.5, heard=HEARD)
     for observer in (1, 2, 3):
         assert confusion[observer] == ConfusionCounts(tp=1, tn=2, fp=0, fn=0)
     assert confusion[0] == ConfusionCounts(tp=0, tn=3, fp=0, fn=0)
@@ -56,24 +54,24 @@ def test_classify_collapsed_belief_is_a_true_positive():
 
 def test_classify_boundary_belief_is_trusted():
     # flagged iff belief < tau, so belief == tau counts as trusted
-    ts = state_with({0: 0.5})
-    assert classify_step(ts, ROLES, tau=0.5, heard=HEARD)[1].fn == 1
-    ts = state_with({0: 0.4999})
-    assert classify_step(ts, ROLES, tau=0.5, heard=HEARD)[1].tp == 1
+    beliefs = beliefs_with({0: 0.5})
+    assert classify_step(beliefs, ROLES, tau=0.5, heard=HEARD)[1].fn == 1
+    beliefs = beliefs_with({0: 0.4999})
+    assert classify_step(beliefs, ROLES, tau=0.5, heard=HEARD)[1].tp == 1
 
 
 def test_classify_mixed_hand_tally():
-    ts = state_with({0: 0.1, 2: 0.2, 3: 0.9})
-    confusion = classify_step(ts, ROLES, tau=0.5, heard=HEARD)
+    beliefs = beliefs_with({0: 0.1, 2: 0.2, 3: 0.9})
+    confusion = classify_step(beliefs, ROLES, tau=0.5, heard=HEARD)
     # adversary 0 flagged, cooperator 2 wrongly flagged, cooperator 3 trusted
     assert confusion[1] == ConfusionCounts(tp=1, tn=1, fp=1, fn=0)
     assert f1(confusion[1]) == pytest.approx(2 / 3)
 
 
 def test_classify_respects_heard_restriction():
-    ts = state_with({0: 0.0})
+    beliefs = beliefs_with({0: 0.0})
     heard = {1: (2, 3)}  # the adversary is off-channel for this observer
-    confusion = classify_step(ts, ROLES, tau=0.5, heard=heard)
+    confusion = classify_step(beliefs, ROLES, tau=0.5, heard=heard)
     assert confusion == {1: ConfusionCounts(tp=0, tn=2, fp=0, fn=0)}
     assert sum(astuple(confusion[1])) == len(heard[1])
 
@@ -86,7 +84,7 @@ def test_classify_never_counts_self():
         (CommGraph.from_edges(ids, [(0, 1), (1, 2), (1, 3)]), {0: 1, 1: 3, 2: 1, 3: 1}),
     ):
         heard = dict(graph.adjacency)
-        confusion = classify_step(state_with({}), ROLES, tau=0.5, heard=heard)
+        confusion = classify_step(beliefs_with({}), ROLES, tau=0.5, heard=heard)
         assert sorted(confusion) == ids
         for observer, counts in confusion.items():
             assert observer not in heard[observer]

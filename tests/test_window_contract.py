@@ -1,7 +1,9 @@
-"""Windows are bytes, and no module of the package imports numpy.
+"""Windows are bytes, no module of the package imports numpy, and the
+package's import graph is pinned.
 
 Every falsified or merged window is a ``bytes`` window of its source's
-length, and ``import trustgrid`` leaves numpy unloaded.
+length, ``import trustgrid`` leaves numpy unloaded, and each module imports
+from the package only the modules it reads.
 """
 
 from __future__ import annotations
@@ -88,6 +90,37 @@ def test_no_module_imports_numpy():
             if any(module.split(".")[0] == "numpy" for module in imported):
                 offences.append(f"{name}:{node.lineno} imports numpy")
     assert offences == []
+
+
+# module -> the package modules it imports from; ``env`` imports ``config``
+# only for type checking
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "cli": {"config", "harness"},
+    "comms": {"env", "policies"},
+    "config": {"comms", "policies", "trust"},
+    "env": {"config"},
+    "harness": {"comms", "config", "env", "metrics", "policies", "trust"},
+    "metrics": {"comms"},
+    "policies": {"env"},
+    "trust": {"env", "policies"},
+}
+
+
+def test_the_package_import_graph_is_pinned():
+    """Each module imports from the package only what its layer reads:
+    ``metrics`` classifies beliefs and needs nothing from ``trust``."""
+    graph = {}
+    for name, tree in parsed_modules().items():
+        imported = graph.setdefault(name.removesuffix(".py"), set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if node.module is None:  # from . import x
+                    imported.update(alias.name for alias in node.names)
+                else:
+                    imported.add(node.module.split(".")[0])
+    assert graph == IMPORT_GRAPH
 
 
 def test_importing_the_package_leaves_numpy_unloaded():
